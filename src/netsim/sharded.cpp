@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <string>
 #include <thread>
 #include <utility>
@@ -39,37 +38,78 @@ u64 elapsed_ns(std::chrono::steady_clock::time_point since) {
                               .count());
 }
 
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
 }  // namespace
 
-// Reusable two-phase rendezvous. The last arriver runs `serial` while
-// holding the barrier mutex, so serial-section writes (next epoch window,
-// done flag) are ordered before every other worker's wakeup -- the
-// happens-before edge that keeps the engine's plain epoch state and
-// mailbox vectors race-free.
+// Spin-then-park rendezvous for the epoch loop. Arrivals are counted
+// with one acq_rel fetch_add, so the last arriver observes every other
+// worker's pre-arrival writes (their windows' outbox appends and queue
+// state) before it runs the serial section. It then publishes the next
+// generation with a (seq_cst, hence release) store; waiters acquire-load
+// the generation, which orders the serial section's writes (window
+// bounds, done_) before everything they do next.
+//
+// Waiters spin before they park, for about one futex park/wake round
+// trip. On a 4-core Intel Xeon VM, parking costs a FUTEX_WAIT entry and
+// a context switch (~1.3 us: half a raw FUTEX_WAIT/FUTEX_WAKE ping-pong
+// round trip), and a parked thread that idled 5-100 us runs again
+// 2-3 us (p50) after the FUTEX_WAKE -- about 5 us in all. One spin
+// iteration (`pause` plus an acquire load of a line held shared in the
+// local cache) takes ~20 ns there, so 256 iterations spin for about
+// one round trip before giving up the core: the classic spin-then-block
+// rule, which never costs more than twice the better of pure spinning
+// and immediate parking. Most epoch windows are shorter than that, so
+// most rendezvous complete without a syscall.
 class ShardedSimulator::Barrier {
  public:
+  static constexpr u32 kSpinBudget = 256;
+
   explicit Barrier(u32 n) : n_(n) {}
 
+  // Books the arrival, the wait and (on the last arriver) the serial
+  // section's wall time into `stats`.
   template <typename F>
-  void arrive_and_wait(F&& serial) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (++arrived_ == n_) {
+  void arrive_and_wait(ShardStats& stats, F&& serial) {
+    ++stats.rendezvous;
+    const auto wait_from = std::chrono::steady_clock::now();
+    // Read before arriving: the generation cannot advance until we do.
+    const u32 gen = generation_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
+      stats.barrier_wait_ns += elapsed_ns(wait_from);
+      const auto serial_from = std::chrono::steady_clock::now();
       serial();
-      arrived_ = 0;
-      ++generation_;
-      cv_.notify_all();
+      stats.serial_ns += elapsed_ns(serial_from);
+      arrived_.store(0, std::memory_order_relaxed);
+      // seq_cst, not just release: notify_all skips the futex wake when
+      // libstdc++'s waiter count reads zero, and only a seq_cst store
+      // (paired with seq_cst loads on the parking side) keeps that read
+      // from passing the store -- otherwise a waiter that registers
+      // just then parks on the old generation and never wakes.
+      generation_.store(gen + 1, std::memory_order_seq_cst);
+      generation_.notify_all();
       return;
     }
-    const u64 gen = generation_;
-    cv_.wait(lock, [&] { return generation_ != gen; });
+    for (u32 spin = 0; spin < kSpinBudget; ++spin) {
+      if (generation_.load(std::memory_order_acquire) != gen) break;
+      cpu_relax();
+    }
+    while (generation_.load(std::memory_order_seq_cst) == gen) {
+      generation_.wait(gen, std::memory_order_seq_cst);
+    }
+    stats.barrier_wait_ns += elapsed_ns(wait_from);
   }
 
  private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  u32 n_;
-  u32 arrived_ = 0;
-  u64 generation_ = 0;
+  const u32 n_;
+  std::atomic<u32> arrived_{0};
+  std::atomic<u32> generation_{0};
 };
 
 ShardedSimulator::ShardedSimulator(u32 shards) {
@@ -81,10 +121,11 @@ ShardedSimulator::ShardedSimulator(u32 shards) {
     auto shard = std::make_unique<Shard>();
     shard->metrics = std::make_unique<telemetry::MetricsRegistry>();
     shard->sim.set_metrics(shard->metrics.get());
-    shard->outbox.resize(shards);
+    for (auto& half : shard->outbox) half.resize(shards);
     shards_.push_back(std::move(shard));
   }
   shard_bound_.assign(shards, kNoEvent);
+  next_.assign(shards, kNoEvent);
   barrier_ = std::make_unique<Barrier>(shards);
 }
 
@@ -173,8 +214,10 @@ void ShardedSimulator::export_shard_stats(
     out.counter("sharding", "epochs", fid).merge_add(s.epochs);
     out.counter("sharding", "frames_in", fid).merge_add(s.frames_in);
     out.counter("sharding", "frames_out", fid).merge_add(s.frames_out);
+    out.counter("sharding", "rendezvous", fid).merge_add(s.rendezvous);
     out.counter("sharding", "barrier_wait_ns", fid)
         .merge_add(s.barrier_wait_ns);
+    out.counter("sharding", "serial_ns", fid).merge_add(s.serial_ns);
   }
   // Engine-wide scheduler shape: widths of bounded epoch windows and the
   // count of unbounded (no cross-shard constraint) ones. Lives here and
@@ -190,7 +233,11 @@ void ShardedSimulator::enqueue(MailMsg msg) {
     Shard& src = *shards_[ctx->index];
     const u32 dst = msg.dest->shard_;
     if (dst != ctx->index) ++src.stats.frames_out;
-    src.outbox[dst].push_back(std::move(msg));
+    Outbox& box = src.outbox[src.parity][dst];
+    // Tracked here so the serial section sees each shard's earliest
+    // pending arrival without scanning the mail.
+    box.earliest = std::min(box.earliest, msg.arrival);
+    box.mail.push_back(std::move(msg));
     return;
   }
   // Quiescent injection (tools priming a scenario before run()): the
@@ -297,12 +344,14 @@ void ShardedSimulator::drain_external() {
   external_mail_.clear();
 }
 
-void ShardedSimulator::drain_inboxes(u32 dst_idx) {
+void ShardedSimulator::drain_inboxes(u32 dst_idx, u32 parity) {
   Shard& dst = *shards_[dst_idx];
   std::vector<MailMsg*>& batch = dst.drain_scratch;
   batch.clear();
   for (const auto& src : shards_) {
-    for (MailMsg& msg : src->outbox[dst_idx]) batch.push_back(&msg);
+    for (MailMsg& msg : src->outbox[parity][dst_idx].mail) {
+      batch.push_back(&msg);
+    }
   }
   // Each outbox is appended in the sender's dispatch (send-time) order,
   // so with one source shard and uniform links the batch usually arrives
@@ -317,7 +366,7 @@ void ShardedSimulator::drain_inboxes(u32 dst_idx) {
       frame = std::move(msg->frame);
     } else {
       // Cross-shard handoff: deep-copy into our pool; the source shard
-      // releases the original when it clears its outboxes next epoch.
+      // releases the original when it clears this outbox half next epoch.
       frame = dst.pool.clone(msg->frame);
       ++dst.stats.frames_in;
     }
@@ -342,17 +391,31 @@ void ShardedSimulator::store_error(std::exception_ptr err) {
   abort_.store(true, std::memory_order_relaxed);
 }
 
+SimTime ShardedSimulator::collect_next(u32 parity) {
+  const u32 n = shards();
+  SimTime earliest = kNoEvent;
+  for (u32 j = 0; j < n; ++j) {
+    SimTime nj = shards_[j]->sim.next_event_time();
+    for (const auto& src : shards_) {
+      nj = std::min(nj, src->outbox[parity][j].earliest);
+    }
+    next_[j] = nj;
+    earliest = std::min(earliest, nj);
+  }
+  return earliest;
+}
+
 // Opens the epoch whose earliest event sits at `start`: computes every
-// shard's window bound from the reachability matrix and the current
-// per-shard next-event times, and records the epoch's shape. Runs only
-// while quiescent or inside a barrier serial section.
+// shard's window bound from the reachability matrix and next_, and
+// records the epoch's shape. Runs only while quiescent or inside the
+// barrier's serial section, right after collect_next.
 void ShardedSimulator::open_window(SimTime start) {
   const u32 n = shards();
   SimTime min_bound = kNoEvent;
   for (u32 i = 0; i < n; ++i) {
     SimTime bound = kNoEvent;
     for (u32 j = 0; j < n; ++j) {
-      const SimTime nj = shards_[j]->sim.next_event_time();
+      const SimTime nj = next_[j];
       if (nj == kNoEvent) continue;
       const SimTime r = reach_[static_cast<std::size_t>(j) * n + i];
       if (r == kNoEvent || r >= kNoEvent - nj) continue;
@@ -371,15 +434,16 @@ void ShardedSimulator::open_window(SimTime start) {
   ++epochs_;
 }
 
-void ShardedSimulator::select_next_window(SimTime limit) {
+void ShardedSimulator::select_next_window(SimTime limit, u32 parity) {
   if (abort_.load(std::memory_order_relaxed)) {
     done_ = true;
     return;
   }
-  SimTime next = kNoEvent;
-  for (const auto& s : shards_) {
-    next = std::min(next, s->sim.next_event_time());
-  }
+  // Mail posted this epoch is still in the parity half of the outboxes;
+  // its arrivals count as pending work at the receiver, exactly as if it
+  // had been drained already -- so the epoch partition matches a drain
+  // before window selection.
+  const SimTime next = collect_next(parity);
   if (next == kNoEvent || next > limit) {
     done_ = true;
     return;
@@ -396,12 +460,21 @@ void ShardedSimulator::worker_loop(u32 shard_idx, SimTime limit) {
   detail::tls_shard = &ctx;
   telemetry::set_span_lane(shard_idx);
 
+  // Epochs alternate outbox halves: an epoch of parity p posts into
+  // outbox[p] while receivers drain outbox[p ^ 1], which the previous
+  // epoch filled and the previous rendezvous published.
+  u32 parity = 0;
   while (true) {
-    // Phase A: reclaim last epoch's outbox frames (their slabs return to
-    // this shard's pool), then run this epoch's window of events.
     try {
-      for (auto& box : shard.outbox) box.clear();
       if (!abort_.load(std::memory_order_relaxed)) {
+        // Every drained arrival is at or beyond this shard's bound for
+        // the epoch that sent it (arrival >= next_sender + link >=
+        // bound_receiver), so it lands in this window or a later one.
+        drain_inboxes(shard_idx, parity ^ 1);
+        // Receivers drained this half during the previous epoch; clearing
+        // it here returns the originals' slabs to this shard's pool.
+        for (Outbox& box : shard.outbox[parity]) box.clear();
+        shard.parity = parity;
         // Events with at < bound and at <= limit; the shard clock stays
         // at its last event (never outrunning it) and is aligned
         // globally once the run quiesces.
@@ -412,46 +485,23 @@ void ShardedSimulator::worker_loop(u32 shard_idx, SimTime limit) {
     } catch (...) {
       store_error(std::current_exception());
     }
-
-    auto wait_from = std::chrono::steady_clock::now();
-    barrier_->arrive_and_wait([this, limit] {
-      // If no shard posted cross-shard mail this epoch there is nothing
-      // to drain: pick the next window right here and let everyone skip
-      // phase B and its second rendezvous.
-      skip_drain_ = true;
-      for (const auto& s : shards_) {
-        for (const auto& box : s->outbox) {
-          if (!box.empty()) {
-            skip_drain_ = false;
-            return;
-          }
-        }
-      }
-      select_next_window(limit);
+    // The epoch's one rendezvous: the last arriver picks the next windows.
+    barrier_->arrive_and_wait(shard.stats, [this, limit, parity] {
+      select_next_window(limit, parity);
     });
-    shard.stats.barrier_wait_ns += elapsed_ns(wait_from);
-
-    if (!skip_drain_) {
-      // Phase B: drain every mailbox addressed to this shard -- all of
-      // them carry arrivals at or beyond every receiver's next bound,
-      // because arrival >= next_sender + direct link >= bound_receiver.
-      try {
-        if (!abort_.load(std::memory_order_relaxed)) drain_inboxes(shard_idx);
-      } catch (...) {
-        store_error(std::current_exception());
-      }
-
-      wait_from = std::chrono::steady_clock::now();
-      barrier_->arrive_and_wait([this, limit] {
-        // Serial section: pick the next epoch window from the globally
-        // earliest pending event (shard-count-invariant by induction).
-        select_next_window(limit);
-      });
-      shard.stats.barrier_wait_ns += elapsed_ns(wait_from);
-    }
     ++shard.stats.epochs;
+    parity ^= 1;
+    if (done_) break;  // published by the rendezvous
+  }
 
-    if (done_) break;  // ordered by the barrier mutex
+  // Mail posted in the final epoch (arrivals past `limit`) moves into
+  // this shard's queue, where the next run picks it up.
+  try {
+    if (!abort_.load(std::memory_order_relaxed)) {
+      drain_inboxes(shard_idx, parity ^ 1);
+    }
+  } catch (...) {
+    store_error(std::current_exception());
   }
 
   telemetry::set_span_lane(0);
@@ -482,13 +532,9 @@ void ShardedSimulator::run_epochs(SimTime limit) {
   }
   prepare();
 
-  SimTime start = kNoEvent;
-  for (const auto& s : shards_) {
-    start = std::min(start, s->sim.next_event_time());
-  }
+  const SimTime start = collect_next(0);  // outboxes are empty between runs
   if (start != kNoEvent && start <= limit) {
     done_ = false;
-    skip_drain_ = false;
     abort_.store(false, std::memory_order_relaxed);
     first_error_ = nullptr;
     open_window(start);
@@ -506,19 +552,23 @@ void ShardedSimulator::run_epochs(SimTime limit) {
         workers.emplace_back([this, i, limit] { worker_loop(i, limit); });
       }
       for (auto& t : workers) t.join();
-      if (first_error_) {
-        std::exception_ptr err = first_error_;
-        first_error_ = nullptr;
-        std::rethrow_exception(err);
-      }
     }
   }
 
-  // Quiescent again: release frames still parked in outboxes (the final
-  // epoch's cross-shard originals) and align every shard clock.
+  // Quiescent again: release the cross-shard originals still parked in
+  // either outbox half -- also after a failed run, so no slab outlives it
+  // and no stale mail reaches the next run's first drain.
   for (const auto& s : shards_) {
-    for (auto& box : s->outbox) box.clear();
+    for (auto& half : s->outbox) {
+      for (Outbox& box : half) box.clear();
+    }
   }
+  if (first_error_) {
+    std::exception_ptr err = first_error_;
+    first_error_ = nullptr;
+    std::rethrow_exception(err);
+  }
+  // Align every shard clock.
   SimTime final_time = global_now_;
   if (limit != kNoEvent) final_time = std::max(final_time, limit);
   for (const auto& s : shards_) {

@@ -17,9 +17,21 @@
 // transmit time, so a shard unreachable over cross-shard links drains
 // everything in one unbounded window. The one-shard engine skips the
 // barrier/worker machinery entirely and runs inline on the calling
-// thread. When a barrier finds every mailbox empty, window selection
-// happens right there and the drain phase (plus its second barrier) is
-// skipped -- halving rendezvous traffic on cross-shard-quiet epochs.
+// thread.
+//
+// One rendezvous per epoch. Outboxes are double-buffered by epoch
+// parity: an epoch of parity p posts cross-shard mail into outbox[p]
+// while, at its top, each worker (1) drains the mail every shard posted
+// toward it in the previous epoch (outbox[p ^ 1]), (2) clears its own
+// outbox[p], which receivers drained during the previous epoch, and
+// (3) runs its window. The rendezvous's serial section then picks the
+// next windows with next_j = min(shard j's queue head, earliest arrival
+// still parked toward j) -- senders track that arrival at enqueue, so
+// the section is O(shards^2). That is exactly the value a drain before
+// window selection would see, so the epoch partition does not depend on
+// where in the epoch the drain happens. After the final epoch each
+// worker drains its inbox once more, leaving arrivals past `limit` in
+// its queue for the next run.
 //
 // Determinism (same seed => byte-identical telemetry snapshots and reply
 // streams, for ANY shard count):
@@ -41,11 +53,17 @@
 // (non-atomic), so slabs are confined to their shard. A frame crossing a
 // shard boundary is deep-copied into the destination shard's pool at the
 // drain (FramePool::clone); the source shard releases the original when
-// it clears its outboxes at the start of its next epoch. Mailbox vectors
-// are handed between workers only across the barrier, whose mutex gives
-// the happens-before edge (the engine runs clean under TSan).
+// it clears that outbox half an epoch later. Mailbox vectors are handed
+// between workers only across the rendezvous: arrivals are counted with
+// an acq_rel fetch_add, and the last arriver publishes a generation
+// counter with a release (in fact seq_cst) store that waiters
+// acquire-load -- spinning for a bounded budget, then parking in
+// std::atomic::wait. Those edges order every outbox write before its
+// drain and every drain before the clear (the engine runs clean under
+// TSan).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <exception>
 #include <memory>
@@ -77,23 +95,29 @@ extern thread_local const ShardContext* tls_shard;
 }  // namespace detail
 
 // Per-shard engine statistics (satellite: shard-level reporting). The
-// first four are simulation-determined; barrier_wait_ns is wall clock
-// and therefore excluded from determinism-compared snapshots.
+// first five are simulation-determined; barrier_wait_ns and serial_ns
+// are wall clock and therefore excluded from determinism-compared
+// snapshots.
 struct ShardStats {
   u64 events_dispatched = 0;  // events run by this shard's Simulator
   u64 epochs = 0;             // lock-step epochs participated in
   u64 frames_in = 0;          // cross-shard frames drained into this shard
   u64 frames_out = 0;         // cross-shard frames sent by this shard
-  u64 barrier_wait_ns = 0;    // wall-clock time blocked at epoch barriers
+  u64 rendezvous = 0;         // barrier arrivals (one per epoch; the
+                              // one-shard engine has no barrier)
+  u64 barrier_wait_ns = 0;    // wall-clock time waiting for other shards
+  u64 serial_ns = 0;          // wall-clock time in the serial section
+                              // (window selection) as the last arriver
 };
 
 class ShardedSimulator {
  public:
   static constexpr SimTime kNoEvent = Simulator::kNoEvent;
 
-  // `shards` >= 1. shards == 1 runs the same epoch loop inline on the
-  // calling thread (the parity/reference configuration); shards > 1
-  // spawn one worker thread per shard for each run()/run_until() call.
+  // `shards` >= 1. shards == 1 runs each run()/run_until() as one
+  // unbounded window inline on the calling thread, with no epoch loop
+  // and no threads; shards > 1 spawn one worker thread per shard for
+  // each run()/run_until() call and join them before it returns.
   explicit ShardedSimulator(u32 shards);
   ~ShardedSimulator();
 
@@ -141,16 +165,17 @@ class ShardedSimulator {
 
   // Publishes per-shard ShardStats into `out` under component "sharding"
   // with fid = shard index. Kept separate from merge_metrics_into because
-  // barrier_wait_ns is wall clock and per-shard splits vary with the
-  // shard count -- including them would break cross-shard-count snapshot
-  // equality that the determinism tests assert.
+  // barrier_wait_ns and serial_ns are wall clock and per-shard splits
+  // vary with the shard count -- including them would break
+  // cross-shard-count snapshot equality that the determinism tests
+  // assert.
   void export_shard_stats(telemetry::MetricsRegistry& out) const;
 
  private:
   friend class Network;
 
   // One queued delivery; lives in its source shard's outbox until the
-  // epoch barrier.
+  // destination drains it at the top of the next epoch.
   struct MailMsg {
     Network* net = nullptr;
     Node* dest = nullptr;
@@ -163,15 +188,28 @@ class ShardedSimulator {
     Frame frame;
   };
 
+  // Messages one shard sent toward one shard in one epoch.
+  struct Outbox {
+    std::vector<MailMsg> mail;
+    SimTime earliest = kNoEvent;  // minimum arrival in `mail`
+
+    void clear() {
+      mail.clear();
+      earliest = kNoEvent;
+    }
+  };
+
   struct Shard {
     Simulator sim;
     FramePool pool;
     std::unique_ptr<telemetry::MetricsRegistry> metrics;
-    // outbox[d]: messages this shard sent toward shard d this epoch.
-    // Written only by this shard's worker; read by d's worker in the
-    // drain phase; cleared by this worker at its next epoch start (so
-    // slabs are released into the pool that owns them).
-    std::vector<std::vector<MailMsg>> outbox;
+    // outbox[p][d]: messages this shard sent toward shard d in the latest
+    // epoch of parity p. Written only by this shard's worker during an
+    // epoch of parity p; drained by d's worker at the top of the next
+    // epoch; cleared by this worker at the top of the one after (so slabs
+    // are released into the pool that owns them).
+    std::array<std::vector<Outbox>, 2> outbox;
+    u32 parity = 0;  // the running epoch's parity (this worker only)
     std::vector<MailMsg*> drain_scratch;  // reused sort buffer
     ShardStats stats;
   };
@@ -196,13 +234,20 @@ class ShardedSimulator {
   void run_epochs(SimTime limit);
   void run_single_shard(SimTime limit);
   void worker_loop(u32 shard, SimTime limit);
-  void drain_inboxes(u32 shard);
+  // Schedules the mail every shard posted toward `shard` in an epoch of
+  // `parity`.
+  void drain_inboxes(u32 shard, u32 parity);
   void store_error(std::exception_ptr err);
-  // Opens the epoch window starting at `start` (records its width).
+  // Fills next_ with every shard's earliest pending work -- its queue
+  // head or the earliest arrival parked toward it in an outbox half of
+  // `parity` -- and returns the global minimum.
+  SimTime collect_next(u32 parity);
+  // Opens the epoch window starting at `start` from next_ (records its
+  // width).
   void open_window(SimTime start);
-  // Barrier serial section: picks the next window from the globally
-  // earliest pending event, or raises done_.
-  void select_next_window(SimTime limit);
+  // Barrier serial section after an epoch of `parity`: picks the next
+  // window from the globally earliest pending work, or raises done_.
+  void select_next_window(SimTime limit, u32 parity);
   // Turns a drained message into a delivery event on `sim`.
   static void schedule_delivery(Simulator& sim, MailMsg& msg, Frame frame,
                                 u32 shard);
@@ -234,15 +279,13 @@ class ShardedSimulator {
   std::vector<SimTime> reach_;
 
   // Epoch state: written in the barrier's serial section, read by
-  // workers after the barrier (mutex-ordered). shard_bound_[i] is shard
-  // i's exclusive window end this epoch: min over event-holding shards j
-  // of next_j + reach_[j][i] (kNoEvent = unbounded, drain everything).
+  // workers after the barrier (release/acquire-ordered). shard_bound_[i]
+  // is shard i's exclusive window end this epoch: min over event-holding
+  // shards j of next_[j] + reach_[j][i] (kNoEvent = unbounded, drain
+  // everything).
   std::vector<SimTime> shard_bound_;
+  std::vector<SimTime> next_;  // serial-section scratch (collect_next)
   bool done_ = false;
-  // Raised by the first barrier's serial section when every outbox is
-  // empty: the drain phase (and its second barrier) is skipped, the next
-  // window having been selected in the same rendezvous.
-  bool skip_drain_ = false;
   std::unique_ptr<Barrier> barrier_;
 
   // A worker that throws records the error, raises abort_, and keeps

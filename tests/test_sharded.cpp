@@ -4,7 +4,11 @@
 // runs (the e2e cache + heavy-hitter scenario at --shards=1/2/4).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -102,6 +106,45 @@ struct Ring {
   std::vector<std::shared_ptr<RelayNode>> nodes;
 };
 
+// The engine's epoch partition: how many windows ran, how wide they
+// were, and which shards exchanged how many frames. Golden values below
+// pin it, so a change to the rendezvous cannot shift it silently.
+struct EpochShape {
+  u64 epochs = 0;
+  std::vector<std::array<u64, 3>> shards;  // {epochs, frames_in, frames_out}
+  u64 width_count = 0;
+  u64 width_sum = 0;
+  u64 unbounded = 0;
+
+  bool operator==(const EpochShape&) const = default;
+};
+
+EpochShape epoch_shape(const ShardedSimulator& ssim) {
+  EpochShape shape;
+  shape.epochs = ssim.epochs();
+  for (u32 i = 0; i < ssim.shards(); ++i) {
+    const netsim::ShardStats& st = ssim.shard_stats(i);
+    shape.shards.push_back({st.epochs, st.frames_in, st.frames_out});
+  }
+  telemetry::MetricsRegistry stats;
+  ssim.export_shard_stats(stats);
+  const telemetry::Histogram& widths =
+      stats.histogram("sharding", "epoch_width_ns");
+  shape.width_count = widths.count();
+  shape.width_sum = widths.sum();
+  shape.unbounded = stats.counter_value("sharding", "unbounded_epochs");
+  return shape;
+}
+
+void PrintTo(const EpochShape& s, std::ostream* os) {
+  *os << "{" << s.epochs << ", {";
+  for (const auto& [epochs, in, out] : s.shards) {
+    *os << "{" << epochs << ", " << in << ", " << out << "}, ";
+  }
+  *os << "}, " << s.width_count << ", " << s.width_sum << ", " << s.unbounded
+      << "}";
+}
+
 TEST(Sharded, ZeroShardsThrows) {
   EXPECT_THROW(ShardedSimulator{0}, UsageError);
 }
@@ -171,6 +214,13 @@ TEST(Sharded, CrossShardRoundTripAccumulatesLinkDelay) {
 }
 
 TEST(Sharded, RingDigestIdenticalAcrossShardCounts) {
+  // Golden epoch partitions: a scheduler change must not shift them.
+  // Shards 2: every relay lands on shard 1, one unbounded window;
+  // shards 4: 31 bounded 1 us windows.
+  const EpochShape two{1, {{1, 0, 0}, {1, 0, 0}}, 0, 0, 1};
+  const EpochShape four{
+      31, {{31, 0, 0}, {31, 25, 26}, {31, 26, 24}, {31, 24, 25}}, 31, 31000,
+      0};
   std::vector<u64> digests;
   std::vector<SimTime> finals;
   for (u32 shards : {1u, 2u, 4u, 4u}) {  // 4 twice: repeated-run check
@@ -184,12 +234,159 @@ TEST(Sharded, RingDigestIdenticalAcrossShardCounts) {
     ssim.run();
     digests.push_back(ring.digest());
     finals.push_back(ssim.now());
+    if (shards > 1) {
+      EXPECT_EQ(epoch_shape(ssim), shards == 2 ? two : four)
+          << shards << " shards";
+    }
   }
   EXPECT_EQ(digests[0], digests[1]);
   EXPECT_EQ(digests[0], digests[2]);
   EXPECT_EQ(digests[2], digests[3]);
   EXPECT_EQ(finals[0], finals[1]);
   EXPECT_EQ(finals[0], finals[2]);
+}
+
+// Six relays pinned round the shards (node i on shard i % shards), so
+// every hop crosses a shard boundary.
+void pin_round_robin(ShardedSimulator& ssim, Ring& ring) {
+  for (u32 i = 0; i < ring.nodes.size(); ++i) {
+    ssim.pin(*ring.nodes[i], i % ssim.shards());
+  }
+}
+
+// Deterministic twin of the barrier's wall-clock cost: every shard
+// arrives exactly once per epoch, so a second per-epoch barrier would
+// double the count.
+TEST(Sharded, OneRendezvousPerEpoch) {
+  for (u32 shards : {2u, 4u}) {
+    ShardedSimulator ssim(shards);
+    Ring ring(ssim, 6);
+    pin_round_robin(ssim, ring);
+    ring.inject(0, 30, 256);
+    ring.inject(3, 25, 512);
+    ssim.run();
+    telemetry::MetricsRegistry stats;
+    ssim.export_shard_stats(stats);
+    u64 frames_out = 0;
+    for (u32 i = 0; i < shards; ++i) {
+      const netsim::ShardStats& st = ssim.shard_stats(i);
+      EXPECT_EQ(st.rendezvous, st.epochs) << "shard " << i << "/" << shards;
+      EXPECT_EQ(st.epochs, ssim.epochs()) << "shard " << i << "/" << shards;
+      EXPECT_EQ(stats.counter_value("sharding", "rendezvous",
+                                    static_cast<i32>(i)),
+                st.rendezvous);
+      frames_out += st.frames_out;
+    }
+    EXPECT_GT(ssim.epochs(), 1u) << shards << " shards";
+    EXPECT_EQ(frames_out, 30u + 25u) << shards << " shards";
+  }
+}
+
+// The benchmark drives the engine in many uneven run_until slices; the
+// mail parked in the outboxes between slices must carry over exactly.
+TEST(Sharded, UnevenRunUntilSlicesMatchOneRun) {
+  auto build = [](ShardedSimulator& ssim) {
+    auto ring = std::make_unique<Ring>(ssim, 6);
+    pin_round_robin(ssim, *ring);
+    ring->inject(0, 30, 256);
+    ring->inject(2, 25, 512);
+    ring->inject(4, 20, 128);
+    return ring;
+  };
+  for (u32 shards : {2u, 4u}) {
+    ShardedSimulator whole(shards);
+    const auto reference = build(whole);
+    whole.run();
+    const SimTime end = whole.now();
+
+    ShardedSimulator sliced(shards);
+    const auto ring = build(sliced);
+    constexpr SimTime kSlices = 37;
+    for (SimTime k = 1; k < kSlices; ++k) {
+      // Quadratic spacing: short slices first, long ones near the end.
+      sliced.run_until(end * k * k / (kSlices * kSlices));
+    }
+    sliced.run();
+    EXPECT_EQ(ring->digest(), reference->digest()) << shards << " shards";
+    EXPECT_EQ(sliced.now(), end) << shards << " shards";
+  }
+}
+
+// Forwards like a RelayNode, then throws once on its `throw_at`-th
+// arrival -- after the forward, so its own outbox half holds mail.
+class FaultyRelay : public RelayNode {
+ public:
+  FaultyRelay(std::string name, std::size_t throw_at)
+      : RelayNode(std::move(name), /*out_port=*/0), throw_at_(throw_at) {}
+
+  void on_frame(netsim::Frame frame, u32 port) override {
+    RelayNode::on_frame(std::move(frame), port);
+    if (log.size() == throw_at_) throw std::runtime_error("relay fault");
+  }
+
+ private:
+  std::size_t throw_at_;
+};
+
+// A worker that throws while both outbox halves hold mail: run() must
+// surface the original exception, and the failed run must neither strand
+// slabs nor leave mail for the next run to deliver twice. Consecutive
+// throw points land the fault in epochs of both parities.
+TEST(Sharded, WorkerErrorWithMailInBothHalves) {
+  for (std::size_t throw_at : {10u, 11u, 12u, 13u}) {
+    SCOPED_TRACE("throw at arrival " + std::to_string(throw_at));
+    ShardedSimulator ssim(2);
+    Network net(ssim);
+    std::vector<std::shared_ptr<RelayNode>> nodes;
+    for (u32 i = 0; i < 4; ++i) {
+      const std::string name = "n" + std::to_string(i);
+      nodes.push_back(i == 1 ? std::make_shared<FaultyRelay>(name, throw_at)
+                             : std::make_shared<RelayNode>(name, 0));
+      net.attach(nodes.back());
+      ssim.pin(*nodes.back(), i % 2);
+    }
+    for (u32 i = 0; i < 4; ++i) {
+      net.connect(*nodes[i], 0, *nodes[(i + 1) % 4], 1);
+    }
+    // Two frames per relay keep every hop, and so every epoch, busy with
+    // cross-shard mail. Sizes are unique: (size, hops) names a delivery.
+    for (u32 i = 0; i < 8; ++i) {
+      netsim::Frame f = net.pool().acquire(64 + 16 * i);
+      for (std::size_t b = 0; b < f.size(); ++b) f[b] = 0;
+      f[0] = 40;
+      net.transmit(*nodes[i % 4], 0, std::move(f));
+    }
+
+    try {
+      ssim.run();
+      ADD_FAILURE() << "the relay fault did not surface";
+    } catch (const std::runtime_error& err) {
+      EXPECT_STREQ(err.what(), "relay fault");
+    }
+    ssim.run();  // the fault fired once; finish what is still queued
+
+    std::set<std::pair<std::size_t, u8>> seen;
+    for (const auto& node : nodes) {
+      for (const auto& [at, port, size, hops] : node->log) {
+        EXPECT_TRUE(seen.emplace(size, hops).second)
+            << "frame of size " << size << " delivered twice at hop "
+            << +hops;
+      }
+    }
+    // Every slab is back on its shard's freelist once nothing is in
+    // flight.
+    std::array<std::pair<std::size_t, u64>, 2> pools{};
+    for (u32 s = 0; s < 2; ++s) {
+      ssim.schedule_on(*nodes[s], ssim.now() + 1, [&pools, &net, s] {
+        pools[s] = {net.pool().free_slabs(), net.pool().stats().slabs_created};
+      });
+    }
+    ssim.run();
+    for (u32 s = 0; s < 2; ++s) {
+      EXPECT_GT(pools[s].second, 0u) << "shard " << s;
+      EXPECT_EQ(pools[s].first, pools[s].second) << "shard " << s;
+    }
+  }
 }
 
 TEST(Sharded, RunUntilIsInclusiveAndPreservesInFlightFrames) {
@@ -300,6 +497,7 @@ struct ScenarioResult {
   std::string snapshot;  // merged telemetry snapshot JSON
   u64 reply_digest = 0;  // ordered digest of every client-visible reply
   SimTime completed_at = 0;
+  EpochShape shape;
 };
 
 // The artmt_stats scenario (in-network cache + heavy-hitter monitor on
@@ -404,6 +602,7 @@ ScenarioResult run_scenario(u32 shards, u32 requests) {
   ScenarioResult out;
   out.reply_digest = replies.h;
   out.completed_at = ssim.now();
+  out.shape = epoch_shape(ssim);
   telemetry::MetricsRegistry merged;
   ssim.merge_metrics_into(merged);
   std::ostringstream os;
@@ -421,11 +620,19 @@ TEST(ShardedE2E, CacheAndHeavyHitterDeterministicAcrossShardCounts) {
   ASSERT_NE(one.snapshot.find("\"netsim.frames_delivered\""),
             std::string::npos);
 
+  // Golden epoch partitions: a scheduler change must not shift them.
+  const EpochShape two{809, {{809, 1443, 1446}, {809, 1446, 1443}},
+                       809, 809000, 0};
+  const EpochShape four{
+      809,
+      {{809, 1443, 1446}, {809, 106, 106}, {809, 1340, 1337}, {809, 0, 0}},
+      809, 809000, 0};
   for (u32 shards : {2u, 4u}) {
     const ScenarioResult r = run_scenario(shards, kRequests);
     EXPECT_EQ(r.snapshot, one.snapshot) << shards << " shards";
     EXPECT_EQ(r.reply_digest, one.reply_digest) << shards << " shards";
     EXPECT_EQ(r.completed_at, one.completed_at) << shards << " shards";
+    EXPECT_EQ(r.shape, shards == 2 ? two : four) << shards << " shards";
   }
 }
 

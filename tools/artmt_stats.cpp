@@ -630,11 +630,13 @@ int main(int argc, char** argv) {
       std::fprintf(
           stderr,
           "  shard %u: %llu events, %llu frames in / %llu out, "
-          "barrier wait %.3f ms\n",
+          "%llu rendezvous, barrier wait %.3f ms, serial %.3f ms\n",
           s, static_cast<unsigned long long>(st.events_dispatched),
           static_cast<unsigned long long>(st.frames_in),
           static_cast<unsigned long long>(st.frames_out),
-          static_cast<double>(st.barrier_wait_ns) / 1e6);
+          static_cast<unsigned long long>(st.rendezvous),
+          static_cast<double>(st.barrier_wait_ns) / 1e6,
+          static_cast<double>(st.serial_ns) / 1e6);
     }
     // Scheduler shape: adaptive epoch-window widths (virtual ns) and the
     // count of unbounded windows (no cross-shard constraint applied).
