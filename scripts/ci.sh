@@ -3,13 +3,14 @@
 # allocator parity/churn gate, a telemetry-overhead gate, a
 # throughput-regression gate, a chaos soak
 # (fault-injection digest-equality matrix), a migration soak, a fabric
-# soak (multi-switch failure drill + leaf-spine chaos), an ASan+UBSan
-# job, then a ThreadSanitizer job (the sharded engine's worker threads).
+# soak (multi-switch failure drill + leaf-spine chaos), the benchmark's
+# determinism test, an ASan+UBSan job, then a ThreadSanitizer job (the
+# sharded engine's worker threads).
 #
 # Usage: scripts/ci.sh
 #   [release|bench|perf-smoke|alloc-bench|telemetry-overhead|
-#    bench-regression|chaos-soak|migration-soak|fabric-soak|sanitize|
-#    tsan|all]
+#    bench-regression|chaos-soak|migration-soak|fabric-soak|perfbench|
+#    sanitize|tsan|all]
 # (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -177,6 +178,15 @@ run_fabric_soak() {
       --seed 3 --loss 0.005
 }
 
+run_perfbench() {
+  echo "== perfbench determinism: same seed, same digest and virtual metrics =="
+  # Builds perfbench/ (into $CARGO_TARGET_DIR/perfbench, or .bench_build/)
+  # and runs every workload twice with one seed and once with another:
+  # same-seed digests and virtual-time metrics must match, and the other
+  # seed must change the digest.
+  python3 perfbench/test_perfbench.py
+}
+
 run_sanitize() {
   echo "== ASan+UBSan build + tests =="
   cmake --preset asan-ubsan
@@ -203,6 +213,7 @@ case "$job" in
   chaos-soak) run_chaos_soak ;;
   migration-soak) run_migration_soak ;;
   fabric-soak) run_fabric_soak ;;
+  perfbench) run_perfbench ;;
   sanitize) run_sanitize ;;
   tsan) run_tsan ;;
   all)
@@ -215,11 +226,12 @@ case "$job" in
     run_chaos_soak
     run_migration_soak
     run_fabric_soak
+    run_perfbench
     run_sanitize
     run_tsan
     ;;
   *)
-    echo "unknown job '$job' (expected release|bench|perf-smoke|alloc-bench|telemetry-overhead|bench-regression|chaos-soak|migration-soak|fabric-soak|sanitize|tsan|all)" >&2
+    echo "unknown job '$job' (expected release|bench|perf-smoke|alloc-bench|telemetry-overhead|bench-regression|chaos-soak|migration-soak|fabric-soak|perfbench|sanitize|tsan|all)" >&2
     exit 2
     ;;
 esac

@@ -632,12 +632,13 @@ double Allocator::utilization() const {
 }
 
 std::map<u32, Interval> Allocator::regions_of(AppId id) const {
+  // Only the stages the app occupies: stage_demand's keys, ascending, so
+  // each insert lands at the end.
   std::map<u32, Interval> out;
-  for (u32 s = 0; s < stages_.size(); ++s) {
-    const auto& regions = stages_[s].regions();
-    if (const auto it = regions.find(id); it != regions.end()) {
-      out[s] = it->second;
-    }
+  const auto it = apps_.find(id);
+  if (it == apps_.end()) return out;
+  for (const auto& [stage, demand] : it->second.stage_demand) {
+    out.emplace_hint(out.end(), stage, stages_[stage].regions().at(id));
   }
   return out;
 }

@@ -1,7 +1,6 @@
 #include "alloc/stage_state.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/error.hpp"
 
@@ -119,34 +118,58 @@ void StageState::set_elastic_cap(AppId id, u32 cap_blocks) {
   rebalance();
 }
 
+namespace {
+
+// A member's share at water level `level`: its minimum raised to the level,
+// held at its cap (0 = uncapped; a cap below the minimum saturates the
+// member at its minimum).
+u32 share_at(u32 level, u32 min_blocks, u32 cap_blocks) {
+  const u32 share = std::max(level, min_blocks);
+  if (cap_blocks == 0) return share;
+  return std::min(share, std::max(cap_blocks, min_blocks));
+}
+
+}  // namespace
+
 void StageState::rebalance() {
   const u32 pool = capacity_ - frontier_;
-  // Progressive filling (the paper's max-min approximation): start every
-  // member at its minimum share, then hand out one block at a time to the
-  // member with the smallest share that is not yet at its cap.
-  std::vector<u32> share(elastic_.size());
-  u32 used = 0;
-  for (std::size_t i = 0; i < elastic_.size(); ++i) {
-    share[i] = elastic_[i].min_blocks;
-    used += share[i];
-  }
-  if (used > pool) {
+  // Progressive filling (the paper's max-min approximation) in closed
+  // form. Filling block by block from the minima, always to the member
+  // with the smallest (share, index) below its cap, ends at the highest
+  // water level L with sum(share_at(L)) <= pool; the r blocks left over
+  // go one each to the lowest-index members sitting at exactly L below
+  // their cap. The oracle test in test_stage_state.cpp holds this to the
+  // block-by-block fill.
+  const auto filled = [&](u32 level) {
+    u64 total = 0;
+    for (const ElasticMember& m : elastic_) {
+      total += share_at(level, m.min_blocks, m.cap_blocks);
+    }
+    return total;
+  };
+  if (filled(0) > pool) {
     throw UsageError("StageState::rebalance: minima exceed pool");
   }
-
-  using Entry = std::pair<u32, std::size_t>;  // (share, member index)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (std::size_t i = 0; i < elastic_.size(); ++i) heap.emplace(share[i], i);
-  u32 remaining = pool - used;
-  while (remaining > 0 && !heap.empty()) {
-    const auto [s, i] = heap.top();
-    heap.pop();
-    if (s != share[i]) continue;  // stale entry
-    const u32 cap = elastic_[i].cap_blocks;
-    if (cap != 0 && share[i] >= cap) continue;  // member is saturated
-    ++share[i];
-    --remaining;
-    heap.emplace(share[i], i);
+  u32 level = 0;  // filled(level) <= pool throughout
+  u32 hi = pool;  // a higher level fits only if it changes no share
+  while (level < hi) {
+    const u32 mid = static_cast<u32>((u64{level} + hi + 1) / 2);
+    if (filled(mid) <= pool) {
+      level = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  std::vector<u32> share(elastic_.size());
+  u64 leftover = pool - filled(level);
+  for (std::size_t i = 0; i < elastic_.size(); ++i) {
+    const ElasticMember& m = elastic_[i];
+    share[i] = share_at(level, m.min_blocks, m.cap_blocks);
+    if (leftover > 0 && share[i] == level &&
+        share_at(level + 1, m.min_blocks, m.cap_blocks) > level) {
+      ++share[i];
+      --leftover;
+    }
   }
 
   // Contiguous layout in arrival order, with regions_ updated in place and

@@ -1,8 +1,11 @@
 // Per-stage block accounting (Section 4.1/4.2). Inelastic applications are
 // pinned to the beginning of the stage's pool (low block indices) and hold
 // fixed contiguous regions; elastic applications share the remaining pool
-// [frontier, capacity) with max-min fair contiguous shares computed by
-// literal progressive filling. Departing inelastic apps leave holes that
+// [frontier, capacity) with max-min fair contiguous shares. The shares are
+// progressive filling's result computed in closed form (a water level found
+// by binary search, plus the leftover blocks in index order) -- equal to
+// the block-by-block fill, which the oracle test in test_stage_state.cpp
+// holds it to. Departing inelastic apps leave holes that
 // only new inelastic apps reuse (the fragmentation the paper accepts);
 // holes touching the frontier are returned to the elastic pool.
 //
@@ -49,9 +52,9 @@ class StageState {
   // unknown member or a nonzero cap below the member's minimum.
   void set_elastic_cap(AppId id, u32 cap_blocks);
 
-  // Recomputes elastic shares (progressive filling) and the elastic layout.
-  // Must be called after any membership or frontier change; add/remove do
-  // it automatically.
+  // Recomputes elastic shares (progressive filling, in closed form: O(members
+  // x log pool)) and the elastic layout. Must be called after any
+  // membership or frontier change; add/remove do it automatically.
   void rebalance();
 
   // --- queries ---

@@ -111,13 +111,19 @@ const std::map<u32, std::vector<Word>>* Controller::snapshot_of(
   return it == snapshots_.end() ? nullptr : &it->second;
 }
 
+const std::vector<u32>& Controller::installed_stages(Fid fid) const {
+  static const std::vector<u32> kNone;
+  const auto it = installed_.find(fid);
+  return it == installed_.end() ? kNone : it->second;
+}
+
 void Controller::take_snapshot(Fid fid) {
   // Old regions are what the pipeline tables still hold (the allocator's
   // bookkeeping already reflects the new layout).
   std::map<u32, std::vector<Word>> snapshot;
-  for (u32 s = 0; s < pipeline_->stage_count(); ++s) {
+  for (const u32 s : installed_stages(fid)) {
     const rmt::FidEntry* entry = pipeline_->stage(s).lookup(fid);
-    if (entry == nullptr || entry->words() == 0) continue;
+    if (entry->words() == 0) continue;
     snapshot[s] =
         pipeline_->stage(s).memory().dump(entry->start_word, entry->words());
     const u64 blocks = entry->words() / pipeline_->config().block_words;
@@ -155,6 +161,7 @@ void Controller::install_with_advance(Fid fid) {
     }
   }
 
+  std::vector<u32>& installed = installed_[fid];
   for (const auto& [stage, region] : regions) {
     const u32 start = region.begin * block_words;
     const u32 limit = region.end * block_words;
@@ -163,31 +170,27 @@ void Controller::install_with_advance(Fid fid) {
     if (!pipeline_->stage(stage).install(fid, start, limit, advance)) {
       throw UsageError("Controller: TCAM capacity exceeded at install");
     }
+    installed.push_back(stage);
     ++stats_.table_entry_updates;
     if (metrics_) metrics_->table_entry_updates->inc();
   }
 }
 
 u32 Controller::remove_entries(Fid fid) {
-  u32 ops = 0;
-  for (u32 s = 0; s < pipeline_->stage_count(); ++s) {
-    if (pipeline_->stage(s).lookup(fid) != nullptr) {
-      pipeline_->stage(s).remove(fid);
-      ++ops;
-      ++stats_.table_entry_updates;
-      if (metrics_) metrics_->table_entry_updates->inc();
-    }
-  }
+  const auto it = installed_.find(fid);
+  if (it == installed_.end()) return 0;
+  for (const u32 s : it->second) pipeline_->stage(s).remove(fid);
+  const u32 ops = static_cast<u32>(it->second.size());
+  installed_.erase(it);
+  stats_.table_entry_updates += ops;
+  if (metrics_) metrics_->table_entry_updates->inc(ops);
   return ops;
 }
 
 u32 Controller::sync_entries(Fid fid) {
   const u32 removed = remove_entries(fid);
   install_with_advance(fid);
-  const auto it = fid_to_app_.find(fid);
-  const u32 installed =
-      static_cast<u32>(alloc_.regions_of(it->second).size());
-  return removed + installed;
+  return removed + static_cast<u32>(installed_stages(fid).size());
 }
 
 AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
@@ -246,23 +249,22 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
   stats_.reallocations += result.disturbed.size();
 
   // Cost accounting (performed work happens at finalize, but the totals
-  // are deterministic now).
+  // are deterministic now). Removals and snapshots cover what the tables
+  // still hold; installs and clears follow the new layout.
   const u32 block_words = pipeline_->config().block_words;
-  u64 entry_ops = alloc_.regions_of(result.outcome.app).size();
-  u64 blocks_cleared = 0;
-  u64 blocks_snapshotted = 0;
-  for (const auto& [stage, region] :
-       alloc_.regions_of(result.outcome.app)) {
-    blocks_cleared += region.size();
+  u64 entry_ops = result.outcome.regions.size();
+  u64 fid_blocks = 0;
+  for (const auto& [stage, region] : result.outcome.regions) {
+    fid_blocks += region.size();
   }
+  u64 blocks_cleared = fid_blocks;
+  u64 blocks_snapshotted = 0;
   for (const Fid disturbed : result.disturbed) {
     const alloc::AppId app = fid_to_app_.at(disturbed);
-    for (u32 s = 0; s < pipeline_->stage_count(); ++s) {
-      const rmt::FidEntry* entry = pipeline_->stage(s).lookup(disturbed);
-      if (entry != nullptr) {
-        ++entry_ops;  // removal
-        blocks_snapshotted += entry->words() / block_words;
-      }
+    for (const u32 s : installed_stages(disturbed)) {
+      ++entry_ops;  // removal
+      blocks_snapshotted +=
+          pipeline_->stage(s).lookup(disturbed)->words() / block_words;
     }
     for (const auto& [stage, region] : alloc_.regions_of(app)) {
       ++entry_ops;  // install
@@ -284,11 +286,6 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
     metrics_->admissions->inc();
     metrics_->reallocations->inc(result.disturbed.size());
     metrics_->table_update_batches->inc(result.table_update_batches);
-    u64 fid_blocks = 0;
-    for (const auto& [stage, region] :
-         alloc_.regions_of(result.outcome.app)) {
-      fid_blocks += region.size();
-    }
     metrics_->blocks_allocated.at(fid).inc(fid_blocks);
     metrics_->compute_us->record(
         static_cast<u64>(result.compute_ms * 1000.0));
@@ -302,23 +299,25 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
                 {"provisioning_ns", result.provisioning_time()}});
   }
 
-  if (result.disturbed.empty()) {
-    pending_ = PendingAdmission{fid, {}};
-    finalize();
-    return result;
-  }
-
-  // Handshake: quiesce and snapshot the disturbed apps, then wait.
-  PendingAdmission pending;
-  pending.new_fid = fid;
-  for (const Fid disturbed : result.disturbed) {
-    runtime_->deactivate(disturbed);
-    take_snapshot(disturbed);
-    pending.awaiting.insert(disturbed);
-  }
-  pending_ = pending;
-  result.pending = true;
+  // Handshake: quiesce and snapshot the disturbed apps, then wait (or
+  // apply at once when nobody is disturbed).
+  begin_handshake(fid, result.disturbed);
+  result.pending = !result.disturbed.empty();
+  if (!result.pending) finalize();
   return result;
+}
+
+void Controller::begin_handshake(Fid new_fid,
+                                 const std::vector<Fid>& disturbed) {
+  PendingAdmission pending;
+  pending.new_fid = new_fid;
+  for (const Fid fid : disturbed) {
+    runtime_->deactivate(fid);
+    take_snapshot(fid);
+    pending.awaiting.insert(fid);
+  }
+  pending.disturbed = disturbed;
+  pending_ = std::move(pending);
 }
 
 bool Controller::extraction_complete(Fid fid) {
@@ -358,12 +357,9 @@ void Controller::finalize() {
   // this transaction, only the disturbed apps re-sync.
   const Fid new_fid = pending_->new_fid;
 
-  // Re-sync entries for every app whose layout changed, then the new app.
-  std::vector<Fid> disturbed;
-  for (const auto& [fid, app] : fid_to_app_) {
-    if (fid == new_fid) continue;
-    if (runtime_->is_deactivated(fid)) disturbed.push_back(fid);
-  }
+  // Re-sync entries for every app this transaction deactivated, then the
+  // new app.
+  const std::vector<Fid>& disturbed = pending_->disturbed;
   for (const Fid fid : disturbed) sync_entries(fid);
   if (new_fid != 0) install_with_advance(new_fid);
 
@@ -485,12 +481,10 @@ MigrationResult Controller::migrate(const RemapRequest& request) {
   u64 blocks_cleared = 0;
   u64 blocks_snapshotted = 0;
   for (const Fid dfid : result.disturbed) {
-    for (u32 s = 0; s < pipeline_->stage_count(); ++s) {
-      const rmt::FidEntry* entry = pipeline_->stage(s).lookup(dfid);
-      if (entry != nullptr) {
-        ++entry_ops;  // removal
-        blocks_snapshotted += entry->words() / block_words;
-      }
+    for (const u32 s : installed_stages(dfid)) {
+      ++entry_ops;  // removal
+      blocks_snapshotted +=
+          pipeline_->stage(s).lookup(dfid)->words() / block_words;
     }
     for (const auto& [stage, region] :
          alloc_.regions_of(fid_to_app_.at(dfid))) {
@@ -515,14 +509,7 @@ MigrationResult Controller::migrate(const RemapRequest& request) {
 
   // Handshake: quiesce and snapshot every disturbed app, then wait for
   // extraction like any admission; new_fid = 0 marks the migration.
-  PendingAdmission pending;
-  pending.new_fid = 0;
-  for (const Fid dfid : result.disturbed) {
-    runtime_->deactivate(dfid);
-    take_snapshot(dfid);
-    pending.awaiting.insert(dfid);
-  }
-  pending_ = pending;
+  begin_handshake(0, result.disturbed);
   result.pending = true;
   if (auto* sink = telemetry::trace_sink()) {
     sink->emit("controller", "migration", request.fid,

@@ -206,6 +206,9 @@ class Controller {
   struct PendingAdmission {
     Fid new_fid = 0;
     std::set<Fid> awaiting;  // disturbed FIDs not yet done extracting
+    // Every FID this transaction deactivated; finalize re-syncs, clears and
+    // reactivates exactly these.
+    std::vector<Fid> disturbed;
   };
 
   // Reinstalls table entries for `fid` from the allocator's current state
@@ -214,6 +217,11 @@ class Controller {
   u32 remove_entries(Fid fid);
   void take_snapshot(Fid fid);
   void finalize();
+  // Deactivates and snapshots `disturbed`, then opens the handshake that
+  // finalize() closes.
+  void begin_handshake(Fid new_fid, const std::vector<Fid>& disturbed);
+  // Stages holding an entry for `fid` (empty when none is installed).
+  [[nodiscard]] const std::vector<u32>& installed_stages(Fid fid) const;
 
   // MAR auto-advance per access chain (Section 3.4): the entry installed at
   // each of the app's memory stages re-targets MAR at the next one.
@@ -230,6 +238,9 @@ class Controller {
   std::unordered_map<alloc::AppId, Fid> app_to_fid_;
   std::unordered_map<Fid, alloc::Mutant> mutants_;
   std::unordered_map<Fid, std::map<u32, std::vector<Word>>> snapshots_;
+  // Stages holding a range entry per FID, in install order: the control
+  // path walks these instead of probing every stage.
+  std::unordered_map<Fid, std::vector<u32>> installed_;
   std::optional<PendingAdmission> pending_;
   Fid next_fid_ = 1;
 };

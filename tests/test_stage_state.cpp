@@ -1,9 +1,15 @@
 // Tests for per-stage block accounting: inelastic pinning, holes, the
-// elastic frontier, and progressive-filling shares.
+// elastic frontier, and progressive-filling shares (held to a literal
+// block-by-block fill, kept here as the oracle).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <queue>
+#include <vector>
 
 #include "alloc/stage_state.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace artmt::alloc {
 namespace {
@@ -270,6 +276,244 @@ TEST(StageState, PropertyChurnKeepsInvariants) {
       }
     }
     ASSERT_EQ(s.regions().size(), resident.size());
+  }
+}
+
+// --- the share fill against its oracle ---
+
+struct OracleMember {
+  AppId id;
+  u32 min_blocks;
+  u32 cap_blocks;  // 0 = uncapped
+};
+
+// Literal progressive filling: every member starts at its minimum share,
+// then one block at a time goes to the member with the smallest
+// (share, index) that is below its cap (a cap below the minimum saturates
+// the member at its minimum). StageState::rebalance computes the same
+// shares in closed form.
+std::vector<u32> oracle_fill(u32 pool, const std::vector<OracleMember>& members) {
+  std::vector<u32> share(members.size());
+  u32 used = 0;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    share[i] = members[i].min_blocks;
+    used += share[i];
+  }
+  using Entry = std::pair<u32, std::size_t>;  // (share, member index)
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  for (std::size_t i = 0; i < members.size(); ++i) heap.emplace(share[i], i);
+  u32 remaining = pool - used;
+  while (remaining > 0 && !heap.empty()) {
+    const auto [s, i] = heap.top();
+    heap.pop();
+    if (s != share[i]) continue;  // stale entry
+    const u32 cap = members[i].cap_blocks;
+    if (cap != 0 && share[i] >= cap) continue;  // member is saturated
+    ++share[i];
+    --remaining;
+    heap.emplace(share[i], i);
+  }
+  return share;
+}
+
+// The elastic regions the oracle expects: contiguous from the pool start
+// in arrival order.
+std::map<AppId, Interval> oracle_regions(
+    u32 pool_start, u32 pool, const std::vector<OracleMember>& members) {
+  const auto share = oracle_fill(pool, members);
+  std::map<AppId, Interval> out;
+  u32 cursor = pool_start;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    out[members[i].id] = Interval{cursor, cursor + share[i]};
+    cursor += share[i];
+  }
+  return out;
+}
+
+// The elastic pool starts at the frontier: capacity - headroom - minima.
+u32 pool_start_of(const StageState& s,
+                  const std::vector<OracleMember>& members) {
+  u32 minima = 0;
+  for (const auto& m : members) minima += m.min_blocks;
+  return s.capacity() - s.elastic_headroom() - minima;
+}
+
+void expect_oracle_layout(const StageState& s,
+                          const std::vector<OracleMember>& members) {
+  const u32 start = pool_start_of(s, members);
+  const auto expected =
+      oracle_regions(start, s.capacity() - start, members);
+  for (const auto& [id, region] : expected) {
+    ASSERT_TRUE(s.has_app(id)) << "member " << id;
+    ASSERT_EQ(s.regions().at(id), region) << "member " << id;
+  }
+}
+
+// Member-set families: each covers one corner of the fill.
+enum class Family { kEmpty, kMinimaFillPool, kUncapped, kCapBelowMin,
+                    kDemoted, kMixed };
+
+TEST(StageStateOracle, FillMatchesOracleOnRandomMemberSets) {
+  constexpr Family kFamilies[] = {Family::kEmpty,       Family::kMinimaFillPool,
+                                  Family::kUncapped,    Family::kCapBelowMin,
+                                  Family::kDemoted,     Family::kMixed};
+  Rng rng(2023);
+  u64 compared = 0;
+  u64 exact_fills = 0;
+  for (u32 trial = 0; trial < 120'000; ++trial) {
+    const Family family = kFamilies[trial % 6];
+    const u32 capacity = static_cast<u32>(rng.uniform_range(1, 256));
+    StageState s(capacity);
+    // A pinned prefix moves the frontier off zero in half the sets.
+    const u32 pinned =
+        rng.uniform(2) == 0 ? static_cast<u32>(rng.uniform(capacity / 2 + 1)) : 0;
+    if (pinned > 0) s.add_inelastic(9999, pinned);
+    const u32 pool = capacity - pinned;
+    const u32 n = family == Family::kEmpty
+                      ? 0
+                      : static_cast<u32>(rng.uniform_range(1, 12));
+    std::vector<OracleMember> members;
+    u32 minima = 0;
+    for (u32 i = 0; i < n; ++i) {
+      u32 min_blocks = static_cast<u32>(rng.uniform_range(1, 16));
+      if (family == Family::kMinimaFillPool && i + 1 == n) {
+        if (minima >= pool) break;
+        min_blocks = pool - minima;  // the minima fill the pool exactly
+      }
+      if (minima + min_blocks > pool) break;
+      u32 cap = 0;
+      switch (family) {
+        case Family::kEmpty:
+        case Family::kUncapped:
+          break;
+        case Family::kMinimaFillPool:
+        case Family::kMixed:
+          switch (rng.uniform(4)) {
+            case 0: cap = 0; break;
+            case 1: cap = static_cast<u32>(rng.uniform(min_blocks)); break;
+            case 2: cap = min_blocks; break;
+            default:
+              cap = min_blocks + static_cast<u32>(rng.uniform_range(1, 64));
+          }
+          break;
+        case Family::kCapBelowMin:
+          cap = rng.uniform(2) == 0
+                    ? static_cast<u32>(rng.uniform(min_blocks))
+                    : min_blocks + static_cast<u32>(rng.uniform(64));
+          break;
+        case Family::kDemoted:
+          cap = rng.uniform(2) == 0
+                    ? min_blocks
+                    : min_blocks + static_cast<u32>(rng.uniform(64));
+          break;
+      }
+      const AppId id = i + 1;
+      s.add_elastic(id, min_blocks, cap);
+      members.push_back(OracleMember{id, min_blocks, cap});
+      minima += min_blocks;
+    }
+    expect_oracle_layout(s, members);
+    if (::testing::Test::HasFatalFailure()) {
+      FAIL() << "trial " << trial << " capacity " << capacity << " pinned "
+             << pinned;
+    }
+    if (family == Family::kEmpty) {
+      EXPECT_EQ(s.allocated_blocks(), pinned);
+    }
+    if (family == Family::kMinimaFillPool && minima == pool) {
+      EXPECT_EQ(s.free_blocks(), 0u);
+      ++exact_fills;
+    }
+    ++compared;
+  }
+  EXPECT_EQ(compared, 120'000u);
+  EXPECT_GT(exact_fills, 10'000u);
+}
+
+// Seeded operation sequences: after every applied step the elastic layout
+// equals the oracle's, and last_changed() names exactly the elastic
+// members whose regions moved (newcomers included).
+TEST(StageStateOracle, FillMatchesOracleAcrossOperationSequences) {
+  Rng rng(368);
+  for (u32 seq = 0; seq < 300; ++seq) {
+    const u32 capacity = static_cast<u32>(rng.uniform_range(16, 368));
+    StageState s(capacity);
+    std::vector<OracleMember> elastic;
+    std::vector<AppId> pinned;
+    AppId next_id = 1;
+    auto prev = s.regions();
+    for (u32 step = 0; step < 200; ++step) {
+      bool applied = false;
+      switch (rng.uniform(5)) {
+        case 0: {  // add_elastic (caps: none, below min, at min, above)
+          const u32 min_blocks = static_cast<u32>(rng.uniform_range(1, 12));
+          const u32 roll = static_cast<u32>(rng.uniform(4));
+          const u32 cap = roll == 0   ? 0
+                          : roll == 1 ? static_cast<u32>(rng.uniform(min_blocks))
+                          : roll == 2 ? min_blocks
+                                      : min_blocks + static_cast<u32>(
+                                                         rng.uniform_range(1, 40));
+          if (!s.elastic_fits(min_blocks)) break;
+          s.add_elastic(next_id, min_blocks, cap);
+          elastic.push_back(OracleMember{next_id++, min_blocks, cap});
+          applied = true;
+          break;
+        }
+        case 1: {  // remove_elastic
+          if (elastic.empty()) break;
+          const std::size_t pick = rng.uniform(elastic.size());
+          s.remove_elastic(elastic[pick].id);
+          elastic.erase(elastic.begin() + static_cast<std::ptrdiff_t>(pick));
+          applied = true;
+          break;
+        }
+        case 2: {  // set_elastic_cap: demote, restore, uncap, or raise
+          if (elastic.empty()) break;
+          OracleMember& m = elastic[rng.uniform(elastic.size())];
+          const u32 roll = static_cast<u32>(rng.uniform(3));
+          const u32 cap = roll == 0   ? 0
+                          : roll == 1 ? m.min_blocks
+                                      : m.min_blocks + static_cast<u32>(
+                                                           rng.uniform(40));
+          s.set_elastic_cap(m.id, cap);
+          m.cap_blocks = cap;
+          applied = true;
+          break;
+        }
+        case 3: {  // add_inelastic
+          const u32 demand = static_cast<u32>(rng.uniform_range(1, 24));
+          if (!s.inelastic_fits(demand)) break;
+          s.add_inelastic(next_id, demand);
+          pinned.push_back(next_id++);
+          applied = true;
+          break;
+        }
+        default: {  // remove_inelastic
+          if (pinned.empty()) break;
+          const std::size_t pick = rng.uniform(pinned.size());
+          s.remove_inelastic(pinned[pick]);
+          pinned.erase(pinned.begin() + static_cast<std::ptrdiff_t>(pick));
+          applied = true;
+          break;
+        }
+      }
+      if (!applied) continue;
+      const u32 start = pool_start_of(s, elastic);
+      const auto expected =
+          oracle_regions(start, s.capacity() - start, elastic);
+      std::vector<AppId> moved;
+      for (const auto& [id, region] : expected) {
+        ASSERT_EQ(s.regions().at(id), region)
+            << "sequence " << seq << " step " << step << " member " << id;
+        const auto before = prev.find(id);
+        if (before == prev.end() || before->second != region) {
+          moved.push_back(id);
+        }
+      }
+      ASSERT_EQ(s.last_changed(), moved)
+          << "sequence " << seq << " step " << step;
+      prev = s.regions();
+    }
   }
 }
 
