@@ -266,20 +266,20 @@ int run_steady_state() {
 // --- e2e netsim datapath harness -----------------------------------------
 // The full wire-in/wire-out loop over the discrete-event network: a client
 // node transmits pre-serialized program capsules to a SwitchNode, which
-// executes them and forwards the shrunk reply to a server sink. Runs twice
-// -- materialized (Config::zero_copy off, the pre-refactor path) and
-// zero-copy (ProgramView + pooled in-place reply) -- and writes
-// BENCH_datapath.json. Asserts (exit 1) that the zero-copy path performs
-// zero heap allocations per forwarded frame once the pool is warm.
+// parses each in place (ProgramView), executes it as a 1-lane ExecBatch,
+// and forwards the shrunk reply, rewritten into the pooled inbound buffer,
+// to a server sink -- the "zero_copy" block of BENCH_datapath.json.
+// Asserts (exit 1) that this path performs zero heap allocations per
+// forwarded frame once the pool is warm.
 //
-// A third rig runs the zero-copy path with telemetry recording enabled
+// A second rig runs the same path with telemetry recording enabled
 // (per-FID counters + latency histogram on every frame, netsim counters
-// on every delivery) against the first two measured with recording
-// gated off. Asserts (exit 1) that the instrumented path still performs
-// zero steady-state allocations and stays within 5% of the zero-copy
-// packets/sec baseline -- the CI `telemetry-overhead` gate.
+// on every delivery) against itself with recording gated off. Asserts
+// (exit 1) that the instrumented path still performs zero steady-state
+// allocations and stays within 5% of that baseline -- the CI
+// `telemetry-overhead` gate.
 //
-// A fourth rig measures the always-on tracing configuration: span
+// A third rig measures the always-on tracing configuration: span
 // emission live with the FlightRecorder ring armed (the production
 // forensic setup -- the full-capture SpanSink is an offline dump mode,
 // attached like a trace sink only when wanted), with metric/heatmap
@@ -311,16 +311,9 @@ struct E2eRig {
   std::shared_ptr<SinkNode> client;
   std::shared_ptr<SinkNode> server;
   std::vector<u8> wire;  // the repeated capsule, serialized once
-  bool pooled_ingress;
 
-  explicit E2eRig(bool zero_copy, bool telemetry = false)
-      : pooled_ingress(zero_copy) {
+  explicit E2eRig(bool telemetry = false) {
     controller::SwitchNode::Config cfg;
-    cfg.zero_copy = zero_copy;
-    // These rigs measure the per-packet reference engine (frames are
-    // pumped one at a time anyway, so batching would only add a flush
-    // event per frame); the batched ingress is measured by BurstRig.
-    cfg.batching = false;
     sw = std::make_shared<controller::SwitchNode>("switch", cfg);
     if (telemetry) {
       // Mirror the full artmt_stats wiring: netsim counters join the
@@ -353,17 +346,11 @@ struct E2eRig {
 
   // One frame at a time through the whole path (ingress copy, switch
   // execution, egress delivery), draining the simulator between frames
-  // like a line-rate switch between arrivals. The zero-copy rig ingests
-  // through the recycling pool; the materialized rig ingests the way the
-  // pre-refactor vector datapath did -- a fresh standalone buffer per
-  // frame.
+  // like a line-rate switch between arrivals, so every frame is its own
+  // 1-lane batch. Ingress copies into the recycling pool.
   void pump(u64 packets) {
     for (u64 i = 0; i < packets; ++i) {
-      if (pooled_ingress) {
-        net.transmit(*client, 0, net.pool().copy(wire));
-      } else {
-        net.transmit(*client, 0, wire);
-      }
+      net.transmit(*client, 0, net.pool().copy(wire));
       sim.run();
     }
   }
@@ -596,14 +583,13 @@ int run_sharded_e2e(char* json, std::size_t cap) {
 // back-to-back arrive at the switch at the same virtual instant, so the
 // flush event drains the whole burst into one runtime::ExecBatch stage
 // sweep (one memoized protection lookup and one register working set per
-// stage for all lanes). A second rig runs the identical burst workload
-// with Config::batching off -- the per-packet reference engine -- so the
-// engine speedup is isolated from the workload. The capsule carries a
-// small payload (active capsules are probe-sized; the 1400-byte payload
-// of the per-frame rigs would make the harness's injection memcpy the
-// bottleneck of what is an execution measurement). Gate (exit 1, full
-// runs only): the batched path must clear 2x this run's zero-copy
-// per-packet baseline.
+// stage for all lanes). The per-packet reference engine is compared at
+// engine level (EngineLanes below), isolated from parse/encode/netsim
+// costs. The capsule carries a small payload (active capsules are
+// probe-sized; the 1400-byte payload of the per-frame rigs would make the
+// harness's injection memcpy the bottleneck of what is an execution
+// measurement). Gate (exit 1, full runs only): the engine-level batched
+// cache query must clear 2x this run's per-frame zero-copy baseline.
 
 constexpr u32 kBurst = 64;
 constexpr std::size_t kBurstPayloadBytes = 64;
@@ -616,9 +602,8 @@ struct BurstRig {
   std::shared_ptr<SinkNode> server;
   std::vector<u8> wire;
 
-  explicit BurstRig(bool batching) {
+  BurstRig() {
     controller::SwitchNode::Config cfg;
-    cfg.batching = batching;
     sw = std::make_shared<controller::SwitchNode>("switch", cfg);
     client = std::make_shared<SinkNode>("client");
     server = std::make_shared<SinkNode>("server");
@@ -768,22 +753,15 @@ int run_batched_block(char* json, std::size_t cap, double zc_baseline_pps) {
   const u64 rounds = quick_mode() ? 3 : 10;
   const u64 bursts_per_round = quick_mode() ? 20 : 500;
   const u64 frames_per_round = bursts_per_round * kBurst;
-  BurstRig per_packet(/*batching=*/false);
-  BurstRig batched(/*batching=*/true);
+  BurstRig batched;
   telemetry::set_enabled(false);
-  per_packet.pump(quick_mode() ? 5 : 50);
   batched.pump(quick_mode() ? 5 : 50);
 
-  double pp_pps = 0.0;
   double bat_pps = 0.0;
   u64 bat_allocs = 0;
   for (u64 r = 0; r < rounds; ++r) {
-    auto start = std::chrono::steady_clock::now();
-    per_packet.pump(bursts_per_round);
-    pp_pps = std::max(pp_pps, static_cast<double>(frames_per_round) /
-                                  seconds_since(start));
     const auto allocs_before = g_alloc_count;
-    start = std::chrono::steady_clock::now();
+    const auto start = std::chrono::steady_clock::now();
     batched.pump(bursts_per_round);
     bat_pps = std::max(bat_pps, static_cast<double>(frames_per_round) /
                                     seconds_since(start));
@@ -834,15 +812,14 @@ int run_batched_block(char* json, std::size_t cap, double zc_baseline_pps) {
       "\"batched_packets_per_sec\": %.0f, \"speedup\": %.2f},\n"
       "    \"e2e_burst\": {\"program\": \"cache_query\", \"burst\": %u, "
       "\"payload_bytes\": %zu,\n"
-      "      \"per_packet_packets_per_sec\": %.0f, "
-      "\"batched_packets_per_sec\": %.0f,\n"
+      "      \"batched_packets_per_sec\": %.0f,\n"
       "      \"allocs_per_frame_steady\": %.6f, \"exec_batches\": %llu}\n"
       "  },\n",
       query.batched_pps, vs_zero_copy, gate_met ? "true" : "false",
       query.per_packet_pps, query.batched_pps,
       query.batched_pps / query.per_packet_pps, sweep.per_packet_pps,
       sweep.batched_pps, sweep.batched_pps / sweep.per_packet_pps, kBurst,
-      kBurstPayloadBytes, pp_pps, bat_pps,
+      kBurstPayloadBytes, bat_pps,
       static_cast<double>(bat_allocs) /
           static_cast<double>(rounds * frames_per_round),
       static_cast<unsigned long long>(batches));
@@ -954,8 +931,8 @@ ChaosSoak run_chaos_soak() {
 // Fills `json` with the "chaos" member of BENCH_datapath.json (trailing
 // comma included). Returns 0 on success, 1 when a gate fails.
 int run_chaos_block(char* json, std::size_t cap) {
-  E2eRig base_rig(/*zero_copy=*/true);
-  E2eRig hook_rig(/*zero_copy=*/true);
+  E2eRig base_rig;
+  E2eRig hook_rig;
   faults::FaultInjector idle{faults::FaultPlan{}};
   hook_rig.net.set_transmit_hook(&idle);
   telemetry::set_enabled(false);
@@ -1020,10 +997,9 @@ int run_e2e_datapath() {
   const u64 kRounds = quick_mode() ? 3 : 12;
   const u64 kPerRound = quick_mode() ? 1'000 : 5'000;
   const u64 kPackets = kRounds * kPerRound;
-  E2eRig legacy_rig(/*zero_copy=*/false);
-  E2eRig zc_rig(/*zero_copy=*/true);
-  E2eRig tel_rig(/*zero_copy=*/true, /*telemetry=*/true);
-  E2eRig spans_rig(/*zero_copy=*/true);
+  E2eRig zc_rig;
+  E2eRig tel_rig(/*telemetry=*/true);
+  E2eRig spans_rig;
   // The production always-on tracing configuration: every span event is
   // emitted into the armed flight-recorder ring (preallocated, no dump
   // dir -- recording only). The full-capture SpanSink is the offline
@@ -1039,7 +1015,6 @@ int run_e2e_datapath() {
   // queue capacity, and (for the instrumented rigs) the per-FID counter
   // memos, so the measured rounds see the steady state.
   telemetry::set_enabled(true);
-  legacy_rig.pump(1000);
   zc_rig.pump(1000);
   tel_rig.pump(1000);
   arm_spans();
@@ -1047,7 +1022,6 @@ int run_e2e_datapath() {
   disarm_spans();
   const u64 warmup_span_events = flight.recorded();
 
-  E2eMeasurement legacy;
   E2eMeasurement zc;
   E2eMeasurement tel_base;
   E2eMeasurement tel;
@@ -1113,7 +1087,6 @@ int run_e2e_datapath() {
   spans_overheads.reserve(kRounds * kAbBlocks);
   for (u64 r = 0; r < kRounds; ++r) {
     telemetry::set_enabled(false);
-    measure_e2e(legacy_rig, 1, kPerRound, &legacy);
     measure_e2e(zc_rig, 1, kPerRound, &zc);
     paired_round(tel_rig, [] { telemetry::set_enabled(false); },
                  [] { telemetry::set_enabled(true); }, &tel_base, &tel,
@@ -1157,11 +1130,8 @@ int run_e2e_datapath() {
     return n % 2 != 0 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
   };
 
-  const double legacy_allocs_per_frame =
-      static_cast<double>(legacy.allocs) / static_cast<double>(kPackets);
   const double zc_allocs_per_frame =
       static_cast<double>(zc.allocs) / static_cast<double>(kPackets);
-  const double speedup = zc.packets_per_sec / legacy.packets_per_sec;
   const double tel_allocs_per_frame =
       static_cast<double>(tel.allocs) / static_cast<double>(kPackets);
   const double tel_overhead = median_overhead(tel_overheads);
@@ -1200,11 +1170,8 @@ int run_e2e_datapath() {
       "  \"workload\": {\"program\": \"cache_query\", \"payload_bytes\": "
       "%zu,\n"
       "               \"frame_bytes\": %zu, \"packets_per_path\": %llu},\n"
-      "  \"materialized\": {\"packets_per_sec\": %.0f, "
-      "\"allocs_per_frame\": %.2f},\n"
       "  \"zero_copy\": {\"packets_per_sec\": %.0f, "
       "\"allocs_per_frame_steady\": %.6f},\n"
-      "  \"speedup\": %.2f,\n"
       "  \"telemetry\": {\"packets_per_sec\": %.0f, "
       "\"baseline_packets_per_sec\": %.0f,\n"
       "               \"allocs_per_frame_steady\": %.6f,\n"
@@ -1231,9 +1198,8 @@ int run_e2e_datapath() {
       "}\n",
       std::thread::hardware_concurrency(),
       quick_mode() ? "true" : "false", kBenchPayloadBytes, zc_rig.wire.size(),
-      static_cast<unsigned long long>(kPackets), legacy.packets_per_sec,
-      legacy_allocs_per_frame, zc.packets_per_sec, zc_allocs_per_frame,
-      speedup, tel.packets_per_sec, tel_base.packets_per_sec,
+      static_cast<unsigned long long>(kPackets), zc.packets_per_sec,
+      zc_allocs_per_frame, tel.packets_per_sec, tel_base.packets_per_sec,
       tel_allocs_per_frame, tel_overhead_pct,
       tel_within_5pct ? "true" : "false", spans.packets_per_sec,
       spans_base.packets_per_sec, spans_allocs_per_frame, spans_overhead_pct,

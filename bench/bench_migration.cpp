@@ -383,7 +383,7 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
   controller::SwitchNode::Config cfg;
   cfg.compute_model = alloc::ComputeModel::deterministic();
   cfg.costs.extraction_timeout = 300 * kMillisecond;
-  cfg.batched_table_updates = true;  // deployment config (EXPERIMENTS.md)
+  cfg.costs.batched_updates = true;  // deployment config (EXPERIMENTS.md)
   cfg.metrics = &ssim.shard_metrics(0);
   cfg.migration.enabled = true;
   cfg.migration.interval = 100 * kMillisecond;

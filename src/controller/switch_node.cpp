@@ -24,7 +24,6 @@ struct SwitchMetrics {
         returned(&r.counter("switch", "returned")),
         dropped(&r.counter("switch", "dropped")),
         zero_copy_frames(&r.counter("switch", "zero_copy_frames")),
-        legacy_frames(&r.counter("switch", "legacy_frames")),
         register_wipes(&r.counter("switch", "register_wipes")),
         exec_batches(&r.counter("switch", "exec_batches")),
         migration_ticks(&r.counter("switch", "migration_ticks")),
@@ -43,7 +42,6 @@ struct SwitchMetrics {
   telemetry::Counter* returned;
   telemetry::Counter* dropped;
   telemetry::Counter* zero_copy_frames;
-  telemetry::Counter* legacy_frames;
   telemetry::Counter* register_wipes;
   telemetry::Counter* exec_batches;
   telemetry::Counter* migration_ticks;
@@ -55,30 +53,16 @@ struct SwitchMetrics {
   telemetry::Histogram* batch_size;
 };
 
-namespace {
-
-// Folds the Config convenience flag into the cost model handed to the
-// controller (either switch turns batching on).
-CostModel effective_costs(const SwitchNode::Config& config) {
-  CostModel costs = config.costs;
-  costs.batched_updates |= config.batched_table_updates;
-  return costs;
-}
-
-}  // namespace
-
 SwitchNode::SwitchNode(std::string name, const Config& config)
     : netsim::Node(std::move(name)),
       pipeline_(config.pipeline),
       runtime_(pipeline_),
       controller_(pipeline_, runtime_, config.scheme, config.policy,
-                  effective_costs(config)),
+                  config.costs),
       program_cache_(config.program_cache_entries),
       mac_(config.mac),
       l2_learning_(config.l2_learning),
       default_recirc_budget_(config.default_recirc_budget),
-      zero_copy_(config.zero_copy),
-      batching_(config.batching),
       batch_(runtime_),
       heatmap_(pipeline_.stage_count()),
       migration_enabled_(config.migration.enabled),
@@ -118,15 +102,13 @@ SwitchNode::NodeStats SwitchNode::node_stats() const {
   s.returned = metrics_->returned->value();
   s.dropped = metrics_->dropped->value();
   s.zero_copy_frames = metrics_->zero_copy_frames->value();
-  s.legacy_frames = metrics_->legacy_frames->value();
   return s;
 }
 
 namespace {
 
 // The flow metadata the parser would extract (5-tuple surrogate: MAC pair
-// plus the head of the passive payload). Shared by both program paths so
-// hash-based programs see identical inputs either way.
+// plus the head of the passive payload).
 runtime::PacketMeta derive_meta(const packet::EthernetHeader& eth,
                                 std::span<const u8> payload) {
   runtime::PacketMeta meta;
@@ -174,8 +156,8 @@ void SwitchNode::bind_pinned(packet::MacAddr mac, u32 port) {
 
 u64 SwitchNode::wipe_registers() {
   assert_confined();
-  // Staged packets were delivered before the wipe; they must see the
-  // pre-wipe registers, exactly as the per-packet engine ordered it.
+  // Staged capsules arrived before the wipe; they must see the pre-wipe
+  // registers.
   flush_batch();
   u64 wiped = 0;
   for (u32 s = 0; s < pipeline_.stage_count(); ++s) {
@@ -227,7 +209,7 @@ void SwitchNode::send_frame_to_mac(packet::MacAddr dst, netsim::Frame frame,
   network().simulator().schedule_after(
       delay, [this, port, span = telemetry::current_span(),
               f = std::move(frame)]() mutable {
-        flush_batch();  // keep transmit order identical to per-packet mode
+        flush_batch();  // staged capsules arrived before this transmit
         // The reply leaves under the inbound capsule's span, so the
         // client-bound send is causally chained to the request.
         telemetry::SpanScope scope(span);
@@ -260,7 +242,8 @@ void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
                                          [this] { migration_tick(); });
   }
   if (migration_enabled_) ++mig_frames_since_tick_;
-  if (mac_ != 0 && packet::ProgramView::is_program_frame(frame)) {
+  const bool program = packet::ProgramView::is_program_frame(frame);
+  if (program && mac_ != 0) {
     // Fabric transit: a program capsule whose FID is not resident here is
     // someone else's traffic -- forward it by destination untouched. The
     // peek is two fixed-offset header reads; the frame is never decoded
@@ -275,48 +258,35 @@ void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
       return;
     }
   }
-  if (zero_copy_ && packet::ProgramView::is_program_frame(frame)) {
-    // Fast path: parse the capsule in place -- no ActivePacket, no byte
-    // copies. An unparseable program-typed frame falls through to the
-    // same passive/malformed handling as the legacy path.
+  if (program) {
+    // Parse the capsule in place -- no ActivePacket, no byte copies -- and
+    // stage it for this instant's batch. No kParse span: the in-place
+    // parse is part of the execution step, and the capsule's kSend
+    // (arrival) + kExec events already bound it.
     std::optional<packet::ProgramView> view;
     try {
       view = packet::ProgramView::parse(frame, program_cache_);
     } catch (const ParseError&) {
-      view.reset();
+      // Rejected: handled as passive traffic below.
     }
     if (view) {
-      // No kParse span on this path: the in-place parse is part of the
-      // execution step, and the capsule's kSend (arrival) + kExec events
-      // already bound it. The materialized handle_program path -- where
-      // parsing is a real decode -- emits the explicit kParse marker.
-      if (batching_) {
-        stage_program_view(*std::move(view), std::move(frame));
-      } else {
-        handle_program_view(*std::move(view), std::move(frame));
-      }
+      stage_program_view(*std::move(view), std::move(frame));
       return;
     }
   }
-  // Anything that is not a batchable program capsule ends the burst:
-  // staged packets execute first, preserving arrival order.
+  // Anything that is not a parseable program capsule ends the burst:
+  // staged capsules execute first, preserving arrival order.
   flush_batch();
+  if (program) {
+    // Truncated, missing its EOF, or carrying an invalid opcode.
+    forward_passive(std::move(frame));
+    return;
+  }
   ActivePacket pkt;
   try {
     pkt = proto::parse_capsule(frame, program_cache_);
   } catch (const ParseError&) {
-    // Passive traffic: plain L2 forwarding by destination MAC.
-    if (frame.size() >= packet::EthernetHeader::kWireSize) {
-      ByteReader in(frame);
-      const auto eth = packet::EthernetHeader::parse(in);
-      const auto it = l2_table_.find(eth.dst);
-      if (it != l2_table_.end()) {
-        metrics_->forwarded->inc();
-        network().transmit(*this, it->second, std::move(frame));
-        return;
-      }
-    }
-    metrics_->malformed->inc();
+    forward_passive(std::move(frame));
     return;
   }
 
@@ -341,9 +311,6 @@ void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
   }
 
   switch (pkt.initial.type) {
-    case ActiveType::kProgram:
-      handle_program(std::move(pkt));
-      return;
     case ActiveType::kAllocRequest:
     case ActiveType::kDealloc:
       enqueue_control(std::move(pkt));
@@ -360,81 +327,18 @@ void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
   }
 }
 
-void SwitchNode::handle_program(ActivePacket pkt) {
-  const runtime::PacketMeta meta = derive_meta(pkt.ethernet, pkt.payload);
-
-  // Steady-state execution: the interned, immutable program plus a
-  // stack-local cursor. The decoded-Program fallback only runs for
-  // packets injected without going through the caching parser.
-  active::ExecCursor cursor;
-  const SimTime now = network().simulator().now();
-  if (telemetry::spans_active()) {
-    emit_span(telemetry::SpanPhase::kParse, now, telemetry::current_span(),
-              /*parent=*/0, pkt.initial.fid, attach_index());
-  }
-  const runtime::ExecutionResult result =
-      pkt.compiled && !pkt.program
-          ? runtime_.execute(*pkt.compiled, pkt, cursor, meta, now)
-          : runtime_.execute(pkt, meta, now);
-  if (telemetry::spans_active()) {
-    const u64 span = telemetry::current_span();
-    emit_span(telemetry::SpanPhase::kExec, now, span, /*parent=*/0,
-              pkt.initial.fid, attach_index(), result.passes,
-              static_cast<u64>(result.latency));
-    for (u32 pass = 1; pass < result.passes; ++pass) {
-      emit_span(telemetry::SpanPhase::kRecirc, now,
-                telemetry::recirc_span_id(span, pass), span, pkt.initial.fid,
-                attach_index(), pass);
+void SwitchNode::forward_passive(netsim::Frame frame) {
+  if (frame.size() >= packet::EthernetHeader::kWireSize) {
+    ByteReader in(frame);
+    const auto eth = packet::EthernetHeader::parse(in);
+    const auto it = l2_table_.find(eth.dst);
+    if (it != l2_table_.end()) {
+      metrics_->forwarded->inc();
+      network().transmit(*this, it->second, std::move(frame));
+      return;
     }
   }
-  metrics_->packets.at(pkt.initial.fid).inc();
-  metrics_->legacy_frames->inc();
-  metrics_->exec_latency_ns->record(static_cast<u64>(result.latency));
-  switch (result.verdict) {
-    case runtime::Verdict::kDrop:
-      metrics_->dropped->inc();
-      return;
-    case runtime::Verdict::kReturnToSender:
-      metrics_->returned->inc();
-      break;
-    case runtime::Verdict::kForward:
-      metrics_->forwarded->inc();
-      break;
-  }
-  // One outbound frame synthesis: the shrink reply comes from the cursor,
-  // never from mutated code.
-  auto frame = proto::encode_executed(pkt, cursor);
-  if (result.forked) {
-    // The clone continues to the original destination as well.
-    send_frame_to_mac(pkt.ethernet.dst, frame, result.latency);
-  }
-  if (result.phv.dst_overridden &&
-      result.verdict == runtime::Verdict::kForward) {
-    // SET_DST: the program chose an egress port directly (the Cheetah
-    // select program stores server ports in the VIP pool).
-    const u32 port = result.phv.dst_value;
-    network().simulator().schedule_after(
-        result.latency, [this, port, span = telemetry::current_span(),
-                         f = std::move(frame)]() mutable {
-          flush_batch();
-          telemetry::SpanScope scope(span);
-          network().transmit(*this, port, std::move(f));
-        });
-    return;
-  }
-  send_frame_to_mac(pkt.ethernet.dst, std::move(frame), result.latency);
-}
-
-void SwitchNode::handle_program_view(packet::ProgramView view,
-                                     netsim::Frame frame) {
-  const runtime::PacketMeta meta =
-      derive_meta(view.ethernet, view.payload(frame));
-
-  active::ExecCursor cursor;
-  const SimTime now = network().simulator().now();
-  const runtime::ExecutionResult result =
-      runtime_.execute(view, cursor, meta, now);
-  emit_program_result(view, std::move(frame), cursor, result);
+  metrics_->malformed->inc();
 }
 
 void SwitchNode::emit_program_result(packet::ProgramView& view,
@@ -536,7 +440,7 @@ void SwitchNode::flush_batch() {
   metrics_->batch_size->record(static_cast<u64>(n));
   for (std::size_t i = 0; i < n; ++i) {
     // Each reply runs under its capsule's delivery span (the flush event
-    // itself has no span context), matching the per-packet engine.
+    // itself has no span context).
     telemetry::SpanScope scope(pending_[i].span);
     emit_program_result(pending_[i].view, std::move(pending_[i].frame),
                         batch_cursors_[i], batch_.result(i));

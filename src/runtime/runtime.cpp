@@ -423,18 +423,6 @@ ExecutionResult ActiveRuntime::execute(const CompiledProgram& program,
   return execute(program, ctx, cursor, meta, now);
 }
 
-ExecutionResult ActiveRuntime::execute(packet::ProgramView& view,
-                                       ExecCursor& cursor,
-                                       const PacketMeta& meta, SimTime now) {
-  ExecContext ctx;
-  ctx.args = &view.arguments.args;
-  ctx.fid = view.initial.fid;
-  ctx.flags = view.initial.flags;
-  ctx.eth_src = &view.ethernet.src;
-  ctx.eth_dst = &view.ethernet.dst;
-  return execute(*view.compiled, ctx, cursor, meta, now);
-}
-
 ExecutionResult ActiveRuntime::execute(ActivePacket& pkt,
                                        const PacketMeta& meta, SimTime now) {
   if (pkt.initial.type != packet::ActiveType::kProgram ||

@@ -20,7 +20,6 @@
 
 #include "active/compiled_program.hpp"
 #include "packet/active_packet.hpp"
-#include "packet/program_view.hpp"
 #include "rmt/pipeline.hpp"
 #include "runtime/phv.hpp"
 
@@ -144,14 +143,6 @@ class ActiveRuntime {
   // Owning-packet adapter (bench/test paths and injected packets).
   ExecutionResult execute(const active::CompiledProgram& program,
                           packet::ActivePacket& pkt,
-                          active::ExecCursor& cursor,
-                          const PacketMeta& meta = {}, SimTime now = 0);
-
-  // Zero-copy adapter: executes a parsed ProgramView in place. The view's
-  // argument header and Ethernet addresses are updated; the frame buffer
-  // it was parsed from is untouched (proto::encode_executed re-emits the
-  // mutated headers).
-  ExecutionResult execute(packet::ProgramView& view,
                           active::ExecCursor& cursor,
                           const PacketMeta& meta = {}, SimTime now = 0);
 

@@ -31,8 +31,9 @@ namespace artmt::telemetry {
 // Lifecycle phases. The payload fields `a`/`b` are phase-specific:
 //   kSend    a = scheduled arrival time, b = frame bytes
 //   kDrop    b = frame bytes (transmit-hook loss; the send never dispatched)
-//   kParse   (none; materialized-decode path only -- the zero-copy fast
-//             path's in-place parse is bounded by kSend arrival + kExec)
+//   kParse   (none; no longer emitted -- the switch parses every capsule
+//             in place, bounded by kSend arrival + kExec. Kept so dumps
+//             recorded with it still parse and the numbering is stable.)
 //   kExec    a = pipeline passes, b = modeled switch latency (ns)
 //   kRecirc  a = 1-based extra pass index
 //   kRecv    (none; a client service claimed the delivered frame)

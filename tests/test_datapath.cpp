@@ -1,5 +1,5 @@
-// The switch frame datapath: zero-copy ProgramView fast path vs the
-// legacy materialized ActivePacket path (wire parity, stats parity),
+// The switch frame datapath: program capsules parsed in place and run as
+// ExecBatch lanes (golden reply bytes, stats), rejected program frames and
 // passive L2 forwarding, unknown-destination accounting, and pool
 // recycling across a full wire-in/wire-out exchange.
 #include <gtest/gtest.h>
@@ -30,15 +30,12 @@ class Recorder : public netsim::Node {
   std::vector<netsim::Frame> frames;
 };
 
-// One switch with a client-side and a server-side recorder, zero-copy on
-// or off; everything else identical so outputs can be diffed bitwise.
-// Pass a registry to share it with the caller (the telemetry tests read
-// counters directly); by default the switch keeps a private one.
+// One switch with a client-side and a server-side recorder. Pass a
+// registry to share it with the caller (the telemetry tests read counters
+// directly); by default the switch keeps a private one.
 struct Bed {
-  explicit Bed(bool zero_copy,
-               telemetry::MetricsRegistry* metrics = nullptr) {
+  explicit Bed(telemetry::MetricsRegistry* metrics = nullptr) {
     SwitchNode::Config cfg;
-    cfg.zero_copy = zero_copy;
     cfg.metrics = metrics;
     sw = std::make_shared<SwitchNode>("switch", cfg);
     client = std::make_shared<Recorder>("client");
@@ -75,87 +72,102 @@ std::vector<u8> program_frame(const std::string& text,
   return pkt.serialize();
 }
 
-// ---------- zero-copy vs legacy parity ----------
+// ---------- golden replies ----------
 
-// Runs the same capsule through a zero-copy switch and a materializing
-// switch and asserts the frames coming out of both are bit-identical.
-void expect_wire_parity(const std::vector<u8>& frame) {
-  Bed fast(/*zero_copy=*/true);
-  Bed slow(/*zero_copy=*/false);
-  fast.inject(frame);
-  slow.inject(frame);
+// FNV-1a over every frame each recorder received (count, then each
+// frame's size and bytes; server first) and the switch's verdict counters.
+u64 exchange_digest(const Bed& bed) {
+  u64 h = 1469598103934665603ull;
+  const auto mix = [&h](u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (i * 8)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const Recorder* r : {bed.server.get(), bed.client.get()}) {
+    mix(r->frames.size());
+    for (const auto& f : r->frames) {
+      mix(f.size());
+      for (const u8 b : f) mix(b);
+    }
+  }
+  const auto s = bed.sw->node_stats();
+  mix(s.forwarded);
+  mix(s.returned);
+  mix(s.dropped);
+  mix(s.malformed);
+  return h;
+}
 
-  ASSERT_EQ(fast.server->frames.size(), slow.server->frames.size());
-  for (std::size_t i = 0; i < fast.server->frames.size(); ++i) {
-    EXPECT_EQ(fast.server->frames[i].to_vector(),
-              slow.server->frames[i].to_vector());
-  }
-  ASSERT_EQ(fast.client->frames.size(), slow.client->frames.size());
-  for (std::size_t i = 0; i < fast.client->frames.size(); ++i) {
-    EXPECT_EQ(fast.client->frames[i].to_vector(),
-              slow.client->frames[i].to_vector());
-  }
-  const auto& fs = fast.sw->node_stats();
-  const auto& ss = slow.sw->node_stats();
-  EXPECT_EQ(fs.forwarded, ss.forwarded);
-  EXPECT_EQ(fs.returned, ss.returned);
-  EXPECT_EQ(fs.dropped, ss.dropped);
-  EXPECT_EQ(fs.malformed, ss.malformed);
+// Runs one capsule through the switch and checks the exchange against a
+// digest captured when the switch still had a materializing and a
+// per-packet engine (all three produced these exact bytes and counts).
+void expect_golden(const std::vector<u8>& frame, u64 digest) {
+  Bed bed;
+  bed.inject(frame);
+  EXPECT_EQ(exchange_digest(bed), digest);
 }
 
 TEST(Datapath, ParityStraightLineShrink) {
-  expect_wire_parity(program_frame("MBR_LOAD $2\nMBR_STORE $3\nRETURN",
-                                   ArgumentHeader{{0, 0, 77, 0}}));
+  expect_golden(program_frame("MBR_LOAD $2\nMBR_STORE $3\nRETURN",
+                              ArgumentHeader{{0, 0, 77, 0}}),
+                0xecf839171c33960eull);
 }
 
 TEST(Datapath, ParityWithPayload) {
-  expect_wire_parity(program_frame("MBR_LOAD $0\nMBR_STORE $1\nRETURN",
-                                   ArgumentHeader{{42, 0, 0, 0}}, 0,
-                                   {9, 8, 7, 6, 5, 4, 3, 2, 1}));
+  expect_golden(program_frame("MBR_LOAD $0\nMBR_STORE $1\nRETURN",
+                              ArgumentHeader{{42, 0, 0, 0}}, 0,
+                              {9, 8, 7, 6, 5, 4, 3, 2, 1}),
+                0x9501abb474637956ull);
 }
 
 TEST(Datapath, ParityNoShrinkKeepsCode) {
-  expect_wire_parity(program_frame("MBR_LOAD $2\nMBR_STORE $3\nRETURN",
-                                   ArgumentHeader{{0, 0, 7, 0}},
-                                   packet::kFlagNoShrink,
-                                   {1, 2, 3, 4, 5}));
+  expect_golden(program_frame("MBR_LOAD $2\nMBR_STORE $3\nRETURN",
+                              ArgumentHeader{{0, 0, 7, 0}},
+                              packet::kFlagNoShrink,
+                              {1, 2, 3, 4, 5}),
+                0x13baf6b6cc311304ull);
 }
 
 TEST(Datapath, ParityBranch) {
-  expect_wire_parity(program_frame(R"(
+  expect_golden(program_frame(R"(
       MBR_LOAD $0
       MBR2_LOAD $1
       CJUMP L1
       MBR_STORE $2
       L1: RETURN
   )",
-                                   ArgumentHeader{{5, 5, 0, 0}}));
+                              ArgumentHeader{{5, 5, 0, 0}}),
+                0xd9c28ffb8196fa0eull);
 }
 
 TEST(Datapath, ParityRts) {
   // RTS swaps the MACs: the reply lands back at the client recorder.
-  expect_wire_parity(program_frame("MBR_LOAD $0\nRTS\nRETURN",
-                                   ArgumentHeader{{1, 0, 0, 0}},
-                                   packet::kFlagNoShrink));
+  expect_golden(program_frame("MBR_LOAD $0\nRTS\nRETURN",
+                              ArgumentHeader{{1, 0, 0, 0}},
+                              packet::kFlagNoShrink),
+                0x61591253790075e2ull);
 }
 
 TEST(Datapath, ParityRecirculation) {
   std::string text;
   for (int i = 0; i < 25; ++i) text += "NOP\n";
   text += "MBR_LOAD $0\nMBR_STORE $1\nRETURN";
-  expect_wire_parity(program_frame(text, ArgumentHeader{{9, 0, 0, 0}}));
+  expect_golden(program_frame(text, ArgumentHeader{{9, 0, 0, 0}}),
+                0xec4cc68f0eb9f80eull);
 }
 
 TEST(Datapath, ParityDrop) {
-  // Unallocated memory access: both paths drop, nothing egresses.
-  expect_wire_parity(program_frame("MAR_LOAD $0\nMEM_READ\nRETURN",
-                                   ArgumentHeader{{500, 0, 0, 0}}));
+  // Unallocated memory access: the capsule drops, nothing egresses.
+  expect_golden(program_frame("MAR_LOAD $0\nMEM_READ\nRETURN",
+                              ArgumentHeader{{500, 0, 0, 0}}),
+                0x412fb4d434e4f582ull);
 }
 
-// ---------- fast-path accounting and recycling ----------
+// ---------- in-place accounting and recycling ----------
 
 TEST(Datapath, ZeroCopyPathIsTaken) {
-  Bed bed(/*zero_copy=*/true);
+  Bed bed;
   bed.inject(program_frame("MBR_LOAD $0\nMBR_STORE $1\nRETURN",
                            ArgumentHeader{{3, 0, 0, 0}}));
   EXPECT_EQ(bed.sw->node_stats().zero_copy_frames, 1u);
@@ -165,16 +177,8 @@ TEST(Datapath, ZeroCopyPathIsTaken) {
   EXPECT_TRUE(bed.server->frames[0].pooled());
 }
 
-TEST(Datapath, LegacyPathLeavesZeroCopyCounterAtZero) {
-  Bed bed(/*zero_copy=*/false);
-  bed.inject(program_frame("MBR_LOAD $0\nMBR_STORE $1\nRETURN",
-                           ArgumentHeader{{3, 0, 0, 0}}));
-  EXPECT_EQ(bed.sw->node_stats().zero_copy_frames, 0u);
-  EXPECT_EQ(bed.sw->node_stats().forwarded, 1u);
-}
-
 TEST(Datapath, SlabRecyclesAfterReceiverReleases) {
-  Bed bed(/*zero_copy=*/true);
+  Bed bed;
   bed.inject(program_frame("MBR_LOAD $0\nMBR_STORE $1\nRETURN",
                            ArgumentHeader{{3, 0, 0, 0}}));
   ASSERT_EQ(bed.server->frames.size(), 1u);
@@ -202,7 +206,7 @@ std::vector<u8> passive_frame(packet::MacAddr dst, packet::MacAddr src,
 }
 
 TEST(Datapath, PassiveFramesForwardByL2Address) {
-  Bed bed(/*zero_copy=*/true);
+  Bed bed;
   const auto frame = passive_frame(kServerMac, kClientMac, {1, 2, 3, 4});
   bed.inject(frame);
   ASSERT_EQ(bed.server->frames.size(), 1u);
@@ -213,7 +217,7 @@ TEST(Datapath, PassiveFramesForwardByL2Address) {
 }
 
 TEST(Datapath, PassiveUnknownDestinationCountsMalformed) {
-  Bed bed(/*zero_copy=*/true);
+  Bed bed;
   bed.inject(passive_frame(/*dst=*/0xdead, kClientMac, {1, 2, 3}));
   EXPECT_TRUE(bed.server->frames.empty());
   EXPECT_TRUE(bed.client->frames.empty());
@@ -221,7 +225,7 @@ TEST(Datapath, PassiveUnknownDestinationCountsMalformed) {
 }
 
 TEST(Datapath, CapsuleToUnboundMacCountsUnknownDestination) {
-  Bed bed(/*zero_copy=*/true);
+  Bed bed;
   auto pkt = ActivePacket::make_program(
       1, ArgumentHeader{{3, 0, 0, 0}},
       active::assemble("MBR_LOAD $0\nMBR_STORE $1\nRETURN"));
@@ -234,10 +238,10 @@ TEST(Datapath, CapsuleToUnboundMacCountsUnknownDestination) {
 }
 
 TEST(Datapath, TruncatedProgramFrameFallsBackToL2Forward) {
-  Bed bed(/*zero_copy=*/true);
+  Bed bed;
   // A frame that looks like a program capsule (active ethertype, kProgram
-  // type byte) but has no valid code: the fast path must decline and the
-  // frame must still reach its L2 destination, as on the legacy path.
+  // type byte) but has no valid code: the in-place parse must decline and
+  // the frame must still reach its L2 destination untouched.
   auto frame = program_frame("MBR_LOAD $0\nRETURN", ArgumentHeader{});
   frame.resize(packet::EthernetHeader::kWireSize + 12);  // cut mid-header
   bed.inject(frame);
@@ -247,40 +251,57 @@ TEST(Datapath, TruncatedProgramFrameFallsBackToL2Forward) {
   EXPECT_EQ(bed.sw->node_stats().zero_copy_frames, 0u);
 }
 
+TEST(Datapath, InvalidOpcodeProgramFrameFallsBackToL2Forward) {
+  // A program capsule whose code is terminated by a valid EOF but whose
+  // first instruction carries an undefined opcode: the in-place parse is
+  // the only parser of program frames, so its rejection alone decides.
+  // Nothing executes and the frame reaches its L2 destination untouched.
+  telemetry::MetricsRegistry reg;
+  Bed bed(&reg);
+  auto frame = program_frame("MBR_LOAD $0\nRETURN", ArgumentHeader{});
+  constexpr std::size_t kCodeBegin = packet::EthernetHeader::kWireSize +
+                                     packet::InitialHeader::kWireSize +
+                                     packet::ArgumentHeader::kWireSize;
+  frame[kCodeBegin] = 0xff;  // no such opcode
+  bed.inject(frame);
+  ASSERT_EQ(bed.server->frames.size(), 1u);
+  EXPECT_EQ(bed.server->frames[0].to_vector(), frame);
+  EXPECT_TRUE(bed.client->frames.empty());
+  const auto stats = bed.sw->node_stats();
+  EXPECT_EQ(stats.forwarded, 1u);
+  EXPECT_EQ(stats.zero_copy_frames, 0u);
+  EXPECT_EQ(stats.malformed, 0u);
+  EXPECT_EQ(reg.counter_value("runtime", "packets", 1), 0u);
+  EXPECT_EQ(bed.sw->runtime().stats().packets, 0u);
+  // One parse attempt: the rejected frame is not parsed a second time.
+  EXPECT_EQ(bed.sw->program_cache().stats().misses, 1u);
+}
+
 // ---------- telemetry-on parity ----------
 
 TEST(Datapath, TelemetryCountsMatchOnBothPaths) {
-  // The same capsules through a zero-copy and a materializing switch,
-  // each recording into a caller-owned registry: the per-FID packet
-  // counters, the latency histogram, and the NodeStats snapshot view all
-  // agree across the two paths (except zero_copy_frames, by design).
+  // Capsules through a switch recording into a caller-owned registry:
+  // the per-FID packet counters, the latency histogram, and the NodeStats
+  // snapshot view all agree with what was sent.
   telemetry::set_enabled(true);
-  telemetry::MetricsRegistry fast_reg;
-  telemetry::MetricsRegistry slow_reg;
-  Bed fast(/*zero_copy=*/true, &fast_reg);
-  Bed slow(/*zero_copy=*/false, &slow_reg);
+  telemetry::MetricsRegistry reg;
+  Bed bed(&reg);
   const auto frame = program_frame("MBR_LOAD $0\nMBR_STORE $1\nRETURN",
                                    ArgumentHeader{{3, 0, 0, 0}});
-  for (int i = 0; i < 3; ++i) {
-    fast.inject(frame);
-    slow.inject(frame);
-  }
+  for (int i = 0; i < 3; ++i) bed.inject(frame);
 
-  for (auto* reg : {&fast_reg, &slow_reg}) {
-    EXPECT_EQ(reg->counter_value("switch", "packets", 1), 3u);
-    EXPECT_EQ(reg->counter_value("runtime", "packets", 1), 3u);
-    EXPECT_EQ(reg->counter_value("switch", "forwarded"), 3u);
-    const telemetry::Histogram* lat =
-        reg->find_histogram("switch", "exec_latency_ns");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->count(), 3u);
-    EXPECT_GT(lat->sum(), 0u);
-  }
-  EXPECT_EQ(fast_reg.counter_value("switch", "zero_copy_frames"), 3u);
-  EXPECT_EQ(slow_reg.counter_value("switch", "zero_copy_frames"), 0u);
+  EXPECT_EQ(reg.counter_value("switch", "packets", 1), 3u);
+  EXPECT_EQ(reg.counter_value("runtime", "packets", 1), 3u);
+  EXPECT_EQ(reg.counter_value("switch", "forwarded"), 3u);
+  const telemetry::Histogram* lat =
+      reg.find_histogram("switch", "exec_latency_ns");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->count(), 3u);
+  EXPECT_GT(lat->sum(), 0u);
+  EXPECT_EQ(reg.counter_value("switch", "zero_copy_frames"), 3u);
 
   // The NodeStats snapshot is a view over the same registry.
-  const auto fs = fast.sw->node_stats();
+  const auto fs = bed.sw->node_stats();
   EXPECT_EQ(fs.forwarded, 3u);
   EXPECT_EQ(fs.zero_copy_frames, 3u);
   EXPECT_EQ(fs.malformed, 0u);
@@ -293,7 +314,7 @@ TEST(Datapath, MalformedControlTrafficSplitsFromMalformedData) {
   // control reject, not as a malformed data frame and not as an unknown
   // destination.
   telemetry::MetricsRegistry reg;
-  Bed bed(/*zero_copy=*/true, &reg);
+  Bed bed(&reg);
   alloc::AllocationRequest request;
   request.program_length = 3;
   request.accesses.push_back(alloc::AccessDemand{/*position=*/200,

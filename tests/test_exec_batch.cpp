@@ -1,13 +1,20 @@
 // Batched-vs-per-packet execution parity. The ExecBatch stage-sweep
 // engine must be observationally identical to the per-packet reference
-// interpreter: byte-identical reply streams (bytes AND virtual
-// timestamps), identical register contents, and identical runtime/switch
-// metric totals -- at shard counts 1, 2, and 4, with and without an
-// active FaultPlan. The workload mixes sweepable programs (query,
-// populate), a protection-faulting capsule (unallocated FID), and a
-// program longer than the pipeline (recirculates, so it must fall back
-// to per-packet order inside the batch), all injected in bursts that
-// arrive at the switch at the same virtual instant.
+// interpreter (ActiveRuntime::execute):
+//  - engine level: the same lanes through both engines on identically
+//    installed pipelines give identical results, cursors, arguments,
+//    registers and runtime counters;
+//  - switch level: a SwitchNode (which runs every capsule as an ExecBatch
+//    lane) reproduces digests captured when it could still be switched to
+//    per-packet execution -- byte-identical reply streams (bytes AND
+//    virtual timestamps), identical register contents, and identical
+//    runtime/switch metric totals -- at shard counts 1, 2, and 4, with
+//    and without an active FaultPlan.
+// The switch workload mixes sweepable programs (query, populate), a
+// protection-faulting capsule (unallocated FID), and a program longer
+// than the pipeline (recirculates, so it must fall back to per-packet
+// order inside the batch), all injected in bursts that arrive at the
+// switch at the same virtual instant.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -20,6 +27,7 @@
 #include "faults/injector.hpp"
 #include "netsim/sharded.hpp"
 #include "packet/active_packet.hpp"
+#include "runtime/exec_batch.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace artmt {
@@ -103,12 +111,11 @@ struct RunResult {
   u64 drops = 0;            // sanity: the faulting capsule actually dropped
   u64 recirculations = 0;   // sanity: the long program actually wrapped
   u64 rts = 0;              // sanity: populate acks actually RTSed
-  u64 exec_batches = 0;     // sanity: batching actually engaged
+  u64 exec_batches = 0;     // sanity: bursts actually coalesced
   u64 injected_drops = 0;   // sanity: the fault plan actually fired
 };
 
-RunResult run_scenario(u32 shards, bool batching,
-                       const faults::FaultPlan* plan) {
+RunResult run_scenario(u32 shards, const faults::FaultPlan* plan) {
   ShardedSimulator ssim(shards);
   Network net(ssim);
   std::unique_ptr<faults::FaultInjector> injector;
@@ -142,7 +149,6 @@ RunResult run_scenario(u32 shards, bool batching,
   for (u32 r = 0; r < kRings; ++r) {
     const std::string tag = std::to_string(r);
     controller::SwitchNode::Config cfg;
-    cfg.batching = batching;
     cfg.compute_model = alloc::ComputeModel::deterministic();
     auto sw = std::make_shared<controller::SwitchNode>("sw" + tag, cfg);
     auto client = std::make_shared<DigestSink>("client" + tag);
@@ -218,19 +224,22 @@ RunResult run_scenario(u32 shards, bool batching,
   return out;
 }
 
+// Golden values, captured with the switch's per-packet engine (and
+// identical for its batched engine) at shard counts 1, 2 and 4.
+constexpr u64 kFaultFreeDigest = 0x60d23095c6335ed3ull;
+constexpr u64 kFaultedDigest = 0x24047424ac20e55cull;  // uniform_loss(7, 0.05)
+
 TEST(ExecBatchParity, BatchedMatchesPerPacketAtEveryShardCount) {
   RunResult ref;
   for (const u32 shards : {1u, 2u, 4u}) {
-    const RunResult per_packet = run_scenario(shards, false, nullptr);
-    const RunResult batched = run_scenario(shards, true, nullptr);
-    EXPECT_EQ(per_packet.digest, batched.digest) << "shards=" << shards;
+    const RunResult batched = run_scenario(shards, nullptr);
+    EXPECT_EQ(batched.digest, kFaultFreeDigest) << "shards=" << shards;
     // The workload exercised every interesting path.
-    EXPECT_GT(batched.replies, 0u);
-    EXPECT_GT(batched.drops, 0u);
-    EXPECT_GT(batched.recirculations, 0u);
-    EXPECT_GT(batched.rts, 0u);
-    EXPECT_GT(batched.exec_batches, 0u);
-    EXPECT_EQ(per_packet.exec_batches, 0u);
+    EXPECT_EQ(batched.replies, 800u);
+    EXPECT_EQ(batched.drops, 160u);
+    EXPECT_EQ(batched.recirculations, 160u);
+    EXPECT_EQ(batched.rts, 320u);
+    EXPECT_EQ(batched.exec_batches, 480u);
     // And the result is also invariant across shard counts.
     if (shards == 1) {
       ref = batched;
@@ -244,11 +253,11 @@ TEST(ExecBatchParity, ParityHoldsUnderActiveFaultPlan) {
   const faults::FaultPlan plan = faults::FaultPlan::uniform_loss(7, 0.05);
   RunResult ref;
   for (const u32 shards : {1u, 2u, 4u}) {
-    const RunResult per_packet = run_scenario(shards, false, &plan);
-    const RunResult batched = run_scenario(shards, true, &plan);
-    EXPECT_EQ(per_packet.digest, batched.digest) << "shards=" << shards;
-    EXPECT_GT(batched.injected_drops, 0u);
-    EXPECT_EQ(per_packet.injected_drops, batched.injected_drops);
+    const RunResult batched = run_scenario(shards, &plan);
+    EXPECT_EQ(batched.digest, kFaultedDigest) << "shards=" << shards;
+    EXPECT_EQ(batched.injected_drops, 93u);
+    EXPECT_EQ(batched.replies, 715u);
+    EXPECT_EQ(batched.exec_batches, 468u);
     if (shards == 1) {
       ref = batched;
     } else {
@@ -260,9 +269,216 @@ TEST(ExecBatchParity, ParityHoldsUnderActiveFaultPlan) {
 }
 
 TEST(ExecBatchParity, RepeatedBatchedRunsAreIdentical) {
-  const RunResult a = run_scenario(2, true, nullptr);
-  const RunResult b = run_scenario(2, true, nullptr);
+  const RunResult a = run_scenario(2, nullptr);
+  const RunResult b = run_scenario(2, nullptr);
   EXPECT_EQ(a.digest, b.digest);
+}
+
+// ---------- engine level ----------
+
+// One pipeline + runtime, installed identically for both engines. Every
+// FID's entry differs from stage to stage (its MAR advance), so a lane
+// that used another stage's entry would walk different registers.
+struct EngineBed {
+  rmt::PipelineConfig cfg;
+  rmt::Pipeline pipeline{cfg};
+  runtime::ActiveRuntime runtime{pipeline};
+
+  EngineBed() {
+    for (u32 s = 0; s < cfg.logical_stages; ++s) {
+      const auto step = static_cast<i32>(s);
+      pipeline.stage(s).install(1, 0, 2048, step + 1);
+      pipeline.stage(s).install(5, 2048, 4096, 2 * step + 3);
+      pipeline.stage(s).install(2, 0, 16, 0);  // tiny: MAR 100 faults
+      pipeline.stage(s).install(3, 0, 2048, 1);
+    }
+    // FID 3 is quiesced (forwarded unprocessed); FID 4 is never installed.
+    runtime.deactivate(3);
+    runtime.set_enforce_privilege(true);
+  }
+};
+
+struct Lane {
+  Fid fid;
+  u8 flags;
+  std::array<Word, active::kArgFields> args;
+  active::CompiledProgram program;
+};
+
+active::CompiledProgram compile(const std::string& text) {
+  return active::CompiledProgram::compile(active::assemble(text));
+}
+
+// MAR_LOAD then a counter bump in every remaining ingress+egress stage.
+std::string counter_sweep_text() {
+  std::string text = "MAR_LOAD $0\n";
+  for (int i = 0; i < 17; ++i) text += "MEM_INCREMENT\n";
+  return text + "RETURN\n";
+}
+
+std::vector<Lane> engine_lanes() {
+  const auto sweep = compile(counter_sweep_text());
+  const auto query =
+      active::CompiledProgram::compile(apps::cache_query_program());
+  const auto populate =
+      active::CompiledProgram::compile(apps::cache_populate_program());
+  const auto walk = active::CompiledProgram::compile(long_walk_program());
+  const auto branch = compile(
+      "MBR_LOAD $0\nMBR2_LOAD $1\nCJUMP L1\nMBR_STORE $2\nL1: RETURN");
+  const auto set_dst = compile("MAR_LOAD $0\nMEM_INCREMENT\nSET_DST\nRETURN");
+  const auto fork = compile("MBR_LOAD $0\nFORK\nMBR_STORE $1\nRETURN");
+  std::vector<Lane> lanes;
+  // Starts and ends with FID 1 sweeps, with other FIDs between: the last
+  // memory lookup of one stage and the first of the next share a FID.
+  lanes.push_back({1, 0, {5, 0, 0, 0}, sweep});
+  lanes.push_back({5, 0, {2100, 0, 0, 0}, sweep});
+  lanes.push_back({1, 0, {10, 2, 3, 7}, populate});
+  lanes.push_back({1, 0, {10, 2, 3, 0}, query});  // hit: RTS
+  lanes.push_back({1, 0, {30, 2, 3, 0}, query});  // miss: CRET
+  lanes.push_back({3, 0, {10, 2, 3, 0}, query});  // deactivated
+  lanes.push_back({2, 0, {100, 0, 0, 0}, sweep});  // protection fault
+  lanes.push_back({4, 0, {5, 0, 0, 0}, sweep});    // no allocation
+  lanes.push_back({1, 0, {20, 0, 0, 0}, walk});    // recirculates
+  lanes.push_back({5, 0, {2200, 0, 0, 0}, sweep});
+  lanes.push_back({1, 0, {7, 0, 0, 0}, set_dst});  // privilege fault
+  lanes.push_back({1, packet::kFlagPrivileged, {7, 0, 0, 0}, set_dst});
+  lanes.push_back({5, packet::kFlagPrivileged, {9, 0, 0, 0}, fork});
+  lanes.push_back({1, packet::kFlagNoShrink, {5, 5, 8, 0}, branch});  // taken
+  lanes.push_back({1, 0, {5, 6, 8, 0}, branch});  // not taken
+  lanes.push_back({1, 0, {6, 0, 0, 0}, sweep});
+  lanes.push_back({1, 0, {9, 0, 0, 0}, sweep});
+  return lanes;
+}
+
+// Per-lane mutable state, one copy per engine.
+struct LaneIo {
+  std::vector<std::array<Word, active::kArgFields>> args;
+  std::vector<packet::MacAddr> src;
+  std::vector<packet::MacAddr> dst;
+  std::vector<runtime::ExecContext> ctx;
+  std::vector<active::ExecCursor> cursors;
+
+  explicit LaneIo(const std::vector<Lane>& lanes)
+      : args(lanes.size()),
+        src(lanes.size()),
+        dst(lanes.size()),
+        ctx(lanes.size()),
+        cursors(lanes.size()) {}
+
+  void reset(const std::vector<Lane>& lanes) {
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      args[i] = lanes[i].args;
+      src[i] = kClientMac;
+      dst[i] = kServerMac;
+      ctx[i].args = &args[i];
+      ctx[i].fid = lanes[i].fid;
+      ctx[i].flags = lanes[i].flags;
+      ctx[i].eth_src = &src[i];
+      ctx[i].eth_dst = &dst[i];
+    }
+  }
+};
+
+void expect_same_result(const runtime::ExecutionResult& a,
+                        const runtime::ExecutionResult& b) {
+  EXPECT_EQ(a.verdict, b.verdict);
+  EXPECT_EQ(a.fault, b.fault);
+  EXPECT_EQ(a.passes, b.passes);
+  EXPECT_EQ(a.stages_consumed, b.stages_consumed);
+  EXPECT_EQ(a.instructions_executed, b.instructions_executed);
+  EXPECT_EQ(a.executed, b.executed);
+  EXPECT_EQ(a.latency, b.latency);
+  EXPECT_EQ(a.forked, b.forked);
+  const runtime::Phv& p = a.phv;
+  const runtime::Phv& q = b.phv;
+  EXPECT_EQ(p.mar, q.mar);
+  EXPECT_EQ(p.mbr, q.mbr);
+  EXPECT_EQ(p.mbr2, q.mbr2);
+  EXPECT_EQ(p.inc, q.inc);
+  EXPECT_EQ(p.hashdata, q.hashdata);
+  EXPECT_EQ(p.complete, q.complete);
+  EXPECT_EQ(p.disabled, q.disabled);
+  EXPECT_EQ(p.pending_label, q.pending_label);
+  EXPECT_EQ(p.rts, q.rts);
+  EXPECT_EQ(p.rts_stage, q.rts_stage);
+  EXPECT_EQ(p.drop, q.drop);
+  EXPECT_EQ(p.fork, q.fork);
+  EXPECT_EQ(p.dst_overridden, q.dst_overridden);
+  EXPECT_EQ(p.dst_value, q.dst_value);
+}
+
+TEST(ExecBatchParity, EngineLanesMatchPerPacketReference) {
+  const std::vector<Lane> lanes = engine_lanes();
+  EngineBed per_packet;
+  EngineBed batched;
+  LaneIo pp_io(lanes);
+  LaneIo bat_io(lanes);
+  const runtime::PacketMeta meta;
+  runtime::ExecBatch batch(batched.runtime);
+  std::vector<runtime::ExecutionResult> pp_res(lanes.size());
+  std::vector<runtime::ExecutionResult> bat_res(lanes.size());
+
+  // Rounds share register state, so each one starts from what the
+  // previous left behind on each engine's pipeline.
+  for (int round = 0; round < 3; ++round) {
+    const SimTime now = round * kMicrosecond;
+    pp_io.reset(lanes);
+    bat_io.reset(lanes);
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      pp_res[i] = per_packet.runtime.execute(lanes[i].program, pp_io.ctx[i],
+                                             pp_io.cursors[i], meta, now);
+    }
+    batch.clear();
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      batch.add(lanes[i].program, bat_io.ctx[i], bat_io.cursors[i], meta,
+                now);
+    }
+    batch.execute();
+    for (std::size_t i = 0; i < lanes.size(); ++i) bat_res[i] = batch.result(i);
+
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      SCOPED_TRACE("round " + std::to_string(round) + " lane " +
+                   std::to_string(i));
+      expect_same_result(pp_res[i], bat_res[i]);
+      EXPECT_EQ(pp_io.args[i], bat_io.args[i]);
+      EXPECT_EQ(pp_io.src[i], bat_io.src[i]);
+      EXPECT_EQ(pp_io.dst[i], bat_io.dst[i]);
+      const active::ExecCursor& c = pp_io.cursors[i];
+      const active::ExecCursor& d = bat_io.cursors[i];
+      EXPECT_EQ(c.resume_index, d.resume_index);
+      EXPECT_EQ(c.shrink, d.shrink);
+      for (u32 k = 0; k < lanes[i].program.size(); ++k) {
+        EXPECT_EQ(c.done(k), d.done(k)) << "instruction " << k;
+      }
+    }
+    for (u32 s = 0; s < per_packet.pipeline.stage_count(); ++s) {
+      EXPECT_EQ(per_packet.pipeline.stage(s).memory().dump(0, 4096),
+                batched.pipeline.stage(s).memory().dump(0, 4096))
+          << "round " << round << " stage " << s;
+    }
+  }
+
+  const runtime::RuntimeStats& a = per_packet.runtime.stats();
+  const runtime::RuntimeStats& b = batched.runtime.stats();
+  EXPECT_EQ(a.packets, b.packets);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.recirculations, b.recirculations);
+  EXPECT_EQ(a.drops_protection, b.drops_protection);
+  EXPECT_EQ(a.drops_no_allocation, b.drops_no_allocation);
+  EXPECT_EQ(a.drops_recirc_limit, b.drops_recirc_limit);
+  EXPECT_EQ(a.drops_recirc_budget, b.drops_recirc_budget);
+  EXPECT_EQ(a.drops_privilege, b.drops_privilege);
+  EXPECT_EQ(a.drops_explicit, b.drops_explicit);
+  EXPECT_EQ(a.rts_packets, b.rts_packets);
+  EXPECT_EQ(a.forwarded_unprocessed, b.forwarded_unprocessed);
+  // Every lane kind actually occurred (3 rounds).
+  EXPECT_EQ(b.packets, 3 * lanes.size());
+  EXPECT_EQ(b.forwarded_unprocessed, 3u);
+  EXPECT_EQ(b.drops_protection, 3u);
+  EXPECT_EQ(b.drops_no_allocation, 3u);
+  EXPECT_EQ(b.drops_privilege, 3u);
+  EXPECT_GT(b.recirculations, 0u);
+  EXPECT_GT(b.rts_packets, 0u);
 }
 
 }  // namespace
