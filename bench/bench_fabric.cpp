@@ -33,7 +33,7 @@
 #include "fabric/topology.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
+#include "netsim/network.hpp"
 #include "workload/zipf.hpp"
 
 namespace artmt {
@@ -99,8 +99,7 @@ struct ScenarioOut {
 // leaf2. Round-robin admission places service i on leaf i, so tenant 0's
 // service rides leaf0 and is the chaos schedule's victim.
 ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
-  netsim::ShardedSimulator ssim(knobs.shards);
-  netsim::Network net(ssim);
+  netsim::Network net(knobs.shards);
   std::unique_ptr<faults::FaultInjector> injector;
   if (knobs.plan != nullptr) {
     injector =
@@ -119,12 +118,11 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
   tcfg.controller.epoch = 2 * kMillisecond;
   tcfg.controller.miss_threshold = 3;
   Topology topo(net, tcfg);
-  topo.pin(ssim);
 
   auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
   net.attach(server);
   topo.attach_host(*server, 0, 2, kServerMac);
-  ssim.pin(*server, 2 % knobs.shards);
+  net.pin(*server, 2 % knobs.shards);
 
   const std::vector<u32> client_leaf = {1, 2, 3, 1};
   const u32 n = static_cast<u32>(client_leaf.size());
@@ -149,7 +147,7 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
         topo.controller_mac());
     net.attach(t->client);
     topo.attach_host(*t->client, 0, client_leaf[i], kClientMacBase + i);
-    ssim.pin(*t->client, client_leaf[i] % knobs.shards);
+    net.pin(*t->client, client_leaf[i] % knobs.shards);
     t->cache = std::make_shared<apps::CacheService>(
         "cache" + std::to_string(i), kServerMac);
     t->client->register_service(t->cache);
@@ -208,12 +206,12 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
       t.stop_time = drive_stop;
       t.drive();
     };
-    ssim.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
-                     [&t] { t.cache->request_allocation(); });
+    net.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
+                    [&t] { t.cache->request_allocation(); });
   }
 
-  topo.start(ssim, 1 * kMillisecond, knobs.stop);
-  ssim.run_until(knobs.stop + 500 * kMillisecond);
+  topo.start(1 * kMillisecond, knobs.stop);
+  net.run_until(knobs.stop + 500 * kMillisecond);
 
   ScenarioOut out;
   out.report = topo.controller().report();
@@ -233,7 +231,7 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
     out.bad_values += t.bad_values;
   }
   out.reply_digest = combined.h;
-  out.completed_at = ssim.now();
+  out.completed_at = net.now();
   return out;
 }
 

@@ -21,11 +21,12 @@ void fig10() {
   for (u32 i = 0; i < 4; ++i) {
     Tenant& tenant = *bed.tenant[i];
     tenant.set_window(50 * kMillisecond);  // finer than Fig 9
-    bed.sim.schedule_at(i * 5 * kSecond, [&bed, &tenant, &requested_at,
-                                          &operational_at, i, kStop] {
-      requested_at[i] = bed.sim.now() / 1e9;
+    bed.net.schedule_on(tenant.client(), i * 5 * kSecond,
+                        [&bed, &tenant, &requested_at, &operational_at, i,
+                         kStop] {
+      requested_at[i] = bed.net.now() / 1e9;
       tenant.cache().on_ready = [&bed, &tenant, &operational_at, i, kStop] {
-        operational_at[i] = bed.sim.now() / 1e9;
+        operational_at[i] = bed.net.now() / 1e9;
         tenant.cache().populate(tenant.hot_set_for_allocation());
         tenant.start_traffic(kStop);
       };
@@ -34,14 +35,14 @@ void fig10() {
   }
   // Instrument tenant 0's reallocation when tenant 3 arrives.
   bed.tenant[0]->cache().on_relocated = [&] {
-    tenant0_moved_at = bed.sim.now() / 1e9;
+    tenant0_moved_at = bed.net.now() / 1e9;
     bed.tenant[0]->cache().populate(
         bed.tenant[0]->hot_set_for_allocation(), [&] {
-          tenant0_repopulated_at = bed.sim.now() / 1e9;
+          tenant0_repopulated_at = bed.net.now() / 1e9;
         });
   };
 
-  bed.sim.run_until(kStop);
+  bed.net.run_until(kStop);
 
   for (u32 i = 0; i < 4; ++i) {
     std::printf("\n### tenant %u (requested t=%.2fs, operational t=%.2fs, "

@@ -129,8 +129,7 @@ void provisioning_composition_shift(const ProvisioningBreakdown& per_entry,
 
 void rtt_vs_program_length() {
   std::printf("\n## Fig 8b: RTT vs program length (us)\n");
-  netsim::Simulator sim;
-  netsim::Network net(sim);
+  netsim::Network net(0);
   controller::SwitchNode::Config cfg;
   auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
   net.attach(sw);
@@ -174,9 +173,9 @@ void rtt_vs_program_length() {
     auto frame = pkt.serialize();
     frame.resize(std::max<std::size_t>(frame.size(), 256), 0);
     probe->received_at = -1;
-    const SimTime sent = sim.now();
+    const SimTime sent = net.now();
     net.transmit(*probe, 0, std::move(frame));
-    sim.run_until(sim.now() + 10 * kMillisecond);
+    net.run_until(net.now() + 10 * kMillisecond);
     return (probe->received_at - sent) / 1000.0;  // us
   };
 

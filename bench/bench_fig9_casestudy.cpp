@@ -34,7 +34,7 @@ void fig9a() {
   workload::ZipfGenerator zipf(10'000, 1.2);
   Rng rng(4242);
   std::function<void()> drive = [&] {
-    if (bed.sim.now() >= 10 * kSecond) return;
+    if (bed.net.now() >= 10 * kSecond) return;
     const u32 rank = zipf.next_rank(rng);
     const u64 key = tenant.key_for_rank(rank);
     if (use_monitor && monitor->operational()) {
@@ -42,19 +42,19 @@ void fig9a() {
     } else {
       tenant.cache().get(key);
     }
-    bed.sim.schedule_after(200'000, drive);  // 5k requests/s
+    bed.net.simulator().schedule_after(200'000, drive);  // 5k requests/s
   };
 
   monitor->request_allocation();
-  bed.sim.schedule_after(0, drive);
+  bed.net.simulator().schedule_after(0, drive);
 
   // Phase 2 at T=2s: extract the hot set, release the monitor, allocate
   // the cache, populate, and switch the request stream over.
   SimTime switch_started = 0;
   SimTime populate_done_at = 0;
-  bed.sim.schedule_at(2 * kSecond, [&] {
+  bed.net.simulator().schedule_at(2 * kSecond, [&] {
     monitor->extract([&](std::vector<std::pair<u64, u32>> items) {
-      switch_started = bed.sim.now();
+      switch_started = bed.net.now();
       std::printf("extracted %zu frequent items at t=%.2fs\n", items.size(),
                   switch_started / 1e9);
       monitor->release();
@@ -64,7 +64,7 @@ void fig9a() {
         const std::size_t cap = std::min<std::size_t>(hot.size(), 600);
         hot.resize(cap);
         tenant.cache().populate(hot, [&] {
-          populate_done_at = bed.sim.now();
+          populate_done_at = bed.net.now();
           std::printf("cache populated at t=%.2fs (context switch %.0f ms)\n",
                       populate_done_at / 1e9,
                       (populate_done_at - switch_started) / 1e6);
@@ -75,7 +75,7 @@ void fig9a() {
     }, /*min_count=*/3);
   });
 
-  bed.sim.run_until(10 * kSecond);
+  bed.net.run_until(10 * kSecond);
   print_windows("fig9a hit rate", tenant);
   const auto& windows = tenant.windows();
   double steady = 0.0;
@@ -98,7 +98,7 @@ void fig9b() {
   for (u32 i = 0; i < 4; ++i) {
     Tenant& tenant = *bed.tenant[i];
     tenant.set_window(250 * kMillisecond);
-    bed.sim.schedule_at(i * 5 * kSecond, [&bed, &tenant, kStop] {
+    bed.net.simulator().schedule_at(i * 5 * kSecond, [&bed, &tenant, kStop] {
       tenant.cache().on_ready = [&bed, &tenant, kStop] {
         tenant.cache().populate(tenant.hot_set_for_allocation());
         tenant.start_traffic(kStop);
@@ -110,7 +110,7 @@ void fig9b() {
       tenant.cache().request_allocation();
     });
   }
-  bed.sim.run_until(kStop);
+  bed.net.run_until(kStop);
 
   for (u32 i = 0; i < 4; ++i) {
     std::printf("\n### tenant %u\n", i);

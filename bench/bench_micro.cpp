@@ -319,7 +319,6 @@ struct E2eRig {
       // Mirror the full artmt_stats wiring: netsim counters join the
       // switch's (private) registry, so the instrumented measurement pays
       // for every recording site the real deployment would.
-      sim.set_metrics(&sw->metrics());
       net.set_metrics(&sw->metrics());
     }
     client = std::make_shared<SinkNode>("client");
@@ -407,23 +406,14 @@ struct RingInjector {
 };
 
 struct ShardedRings {
-  std::unique_ptr<netsim::Simulator> serial_sim;
-  std::unique_ptr<netsim::ShardedSimulator> ssim;
-  std::unique_ptr<netsim::Network> net;
+  netsim::Network net;
   std::vector<std::shared_ptr<controller::SwitchNode>> switches;
   std::vector<std::shared_ptr<SinkNode>> clients;
   std::vector<std::shared_ptr<SinkNode>> sinks;
   std::vector<u8> wire;
 
   // shards == 0 builds the serial-Simulator reference rig.
-  explicit ShardedRings(u32 shards) {
-    if (shards == 0) {
-      serial_sim = std::make_unique<netsim::Simulator>();
-      net = std::make_unique<netsim::Network>(*serial_sim);
-    } else {
-      ssim = std::make_unique<netsim::ShardedSimulator>(shards);
-      net = std::make_unique<netsim::Network>(*ssim);
-    }
+  explicit ShardedRings(u32 shards) : net(shards) {
     auto pkt = packet::ActivePacket::make_program(
         1, packet::ArgumentHeader{{10, 2, 3, 0}},
         apps::cache_query_program());
@@ -442,22 +432,20 @@ struct ShardedRings {
           "sw" + tag, controller::SwitchNode::Config{});
       auto client = std::make_shared<SinkNode>("client" + tag);
       auto sink = std::make_shared<SinkNode>("sink" + tag);
-      net->attach(sw);
-      net->attach(client);
-      net->attach(sink);
-      net->connect(*sw, 0, *client, 0, link);
-      net->connect(*sw, 1, *sink, 0, link);
+      net.attach(sw);
+      net.attach(client);
+      net.attach(sink);
+      net.connect(*sw, 0, *client, 0, link);
+      net.connect(*sw, 1, *sink, 0, link);
       sw->bind(kBenchClientMac, 0);
       sw->bind(kBenchServerMac, 1);
       for (u32 s = 0; s < sw->pipeline().stage_count(); ++s) {
         sw->pipeline().stage(s).install(1, 0, 4096, 0);
       }
-      if (ssim) {
-        const u32 shard = i % shards;
-        ssim->pin(*sw, shard);
-        ssim->pin(*client, shard);
-        ssim->pin(*sink, shard);
-      }
+      const u32 shard = i % net.shards();
+      net.pin(*sw, shard);
+      net.pin(*client, shard);
+      net.pin(*sink, shard);
       switches.push_back(std::move(sw));
       clients.push_back(std::move(client));
       sinks.push_back(std::move(sink));
@@ -467,19 +455,11 @@ struct ShardedRings {
   // Injects `frames` per ring and runs to quiescence; returns wall seconds.
   double drive(u64 frames) {
     for (u32 i = 0; i < kRingCount; ++i) {
-      RingInjector inj{net.get(), clients[i].get(), &wire, frames};
-      if (ssim) {
-        ssim->schedule_on(*clients[i], ssim->now(), inj);
-      } else {
-        serial_sim->schedule_at(serial_sim->now(), inj);
-      }
+      RingInjector inj{&net, clients[i].get(), &wire, frames};
+      net.schedule_on(*clients[i], net.now(), inj);
     }
     const auto start = std::chrono::steady_clock::now();
-    if (ssim) {
-      ssim->run();
-    } else {
-      serial_sim->run();
-    }
+    net.run();
     return seconds_since(start);
   }
 
@@ -536,8 +516,9 @@ int run_sharded_e2e(char* json, std::size_t cap) {
   u64 events = 0;
   u64 cross = 0;
   u64 barrier_ns = 0;
+  const netsim::ShardedSimulator& wide_engine = *wide.net.sharded();
   for (u32 i = 0; i < kRingCount; ++i) {
-    const auto& st = wide.ssim->shard_stats(i);
+    const auto& st = wide_engine.shard_stats(i);
     events += st.events_dispatched;
     cross += st.frames_in;
     barrier_ns += st.barrier_wait_ns;
@@ -555,7 +536,7 @@ int run_sharded_e2e(char* json, std::size_t cap) {
       "  }\n",
       kRingCount, static_cast<unsigned long long>(frames_per_ring), cores,
       serial_pps, one_pps, one_within_5pct ? "true" : "false", kRingCount,
-      wide_pps, speedup, static_cast<unsigned long long>(wide.ssim->epochs()),
+      wide_pps, speedup, static_cast<unsigned long long>(wide_engine.epochs()),
       static_cast<unsigned long long>(events),
       static_cast<unsigned long long>(cross),
       static_cast<unsigned long long>(barrier_ns),

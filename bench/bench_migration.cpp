@@ -318,8 +318,8 @@ struct Tenant {
   }
 
   // Always through net->simulator(): it resolves to the owning shard's
-  // clock and queue from worker context (ShardedSimulator's quiescent
-  // now()/schedule_after are stale mid-run).
+  // clock and queue from worker context (the engine's quiescent now() is
+  // stale mid-run).
   void tick() {
     if (net->simulator().now() >= stop_time) return;
     cache->get(key_for_rank(zipf.next_rank(rng)));
@@ -371,8 +371,7 @@ struct ScenarioOut {
 };
 
 ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
-  netsim::ShardedSimulator ssim(knobs.shards);
-  netsim::Network net(ssim);
+  netsim::Network net(knobs.shards);
   std::unique_ptr<faults::FaultInjector> injector;
   if (knobs.plan != nullptr) {
     injector =
@@ -384,12 +383,12 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
   cfg.compute_model = alloc::ComputeModel::deterministic();
   cfg.costs.extraction_timeout = 300 * kMillisecond;
   cfg.costs.batched_updates = true;  // deployment config (EXPERIMENTS.md)
-  cfg.metrics = &ssim.shard_metrics(0);
+  cfg.metrics = &net.metrics(0);
   cfg.migration.enabled = true;
   cfg.migration.interval = 100 * kMillisecond;
   auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
   net.attach(sw);
-  ssim.pin(*sw, 0);
+  net.pin(*sw, 0);
   auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
   net.attach(server);
   net.connect(*sw, 0, *server, 0);
@@ -415,27 +414,27 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
       t.cache->populate(t.hot_set_for_allocation());
       t.start_traffic(first_stop);
     };
-    ssim.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
-                     [&t] { t.cache->request_allocation(); });
+    net.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
+                    [&t] { t.cache->request_allocation(); });
   }
   Tenant& t1 = *tenants[1];
-  ssim.schedule_on(*t1.client, knobs.pause1,
-                   [&t1] { t1.repopulate_on_move = false; });
-  ssim.schedule_on(*t1.client, knobs.resume1, [&t1, stop = knobs.stop] {
+  net.schedule_on(*t1.client, knobs.pause1,
+                  [&t1] { t1.repopulate_on_move = false; });
+  net.schedule_on(*t1.client, knobs.resume1, [&t1, stop = knobs.stop] {
     t1.repopulate_on_move = true;
     t1.start_traffic(stop);
   });
   if (knobs.resume2 > 0) {
     Tenant& t2 = *tenants[2];
-    ssim.schedule_on(*t2.client, knobs.pause2,
-                     [&t2] { t2.repopulate_on_move = false; });
-    ssim.schedule_on(*t2.client, knobs.resume2, [&t2, stop = knobs.stop] {
+    net.schedule_on(*t2.client, knobs.pause2,
+                    [&t2] { t2.repopulate_on_move = false; });
+    net.schedule_on(*t2.client, knobs.resume2, [&t2, stop = knobs.stop] {
       t2.repopulate_on_move = true;
       t2.start_traffic(stop);
     });
   }
 
-  ssim.run_until(knobs.stop + 2 * kSecond);
+  net.run_until(knobs.stop + 2 * kSecond);
 
   ScenarioOut out;
   // Pool every tenant's (series, events) pair through one analysis: the
@@ -457,9 +456,9 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
   Digest combined;
   for (const auto& t : tenants) combined.mix(t->replies.h);
   out.reply_digest = combined.h;
-  out.completed_at = ssim.now();
+  out.completed_at = net.now();
   telemetry::MetricsRegistry merged;
-  ssim.merge_metrics_into(merged);
+  net.merge_metrics_into(merged);
   std::ostringstream os;
   merged.snapshot_json(os);
   out.snapshot = os.str();

@@ -24,10 +24,9 @@ constexpr packet::MacAddr kClientMacBase = 0x000100;
 // stream over a private key space.
 class Tenant {
  public:
-  Tenant(netsim::Simulator& sim, netsim::Network& net,
-         controller::SwitchNode& sw, u32 index, u32 universe, double alpha,
-         double requests_per_second, u64 seed)
-      : sim_(&sim),
+  Tenant(netsim::Network& net, controller::SwitchNode& sw, u32 index,
+         u32 universe, double alpha, double requests_per_second, u64 seed)
+      : net_(&net),
         index_(index),
         zipf_(universe, alpha),
         rng_(seed),
@@ -102,14 +101,14 @@ class Tenant {
 
  private:
   void tick() {
-    if (sim_->now() >= stop_time_) return;
+    if (net_->now() >= stop_time_) return;
     const u32 rank = zipf_.next_rank(rng_);
     cache_->get(key_for_rank(rank));
-    sim_->schedule_after(gap_ns_, [this] { tick(); });
+    net_->simulator().schedule_after(gap_ns_, [this] { tick(); });
   }
 
   void record(bool hit) {
-    const SimTime now = sim_->now();
+    const SimTime now = net_->now();
     if (window_start_ < 0) window_start_ = now;
     if (now - window_start_ >= window_ns_) {
       windows_.emplace_back(window_start_ / 1e9, window_hits_ > 0 || window_total_ > 0
@@ -124,7 +123,7 @@ class Tenant {
     if (hit) ++window_hits_;
   }
 
-  netsim::Simulator* sim_;
+  netsim::Network* net_;
   u32 index_;
   workload::ZipfGenerator zipf_;
   Rng rng_;
@@ -144,7 +143,7 @@ struct CaseStudyBed {
   explicit CaseStudyBed(u32 tenants, u32 universe = 10'000,
                         double alpha = 1.2,
                         double requests_per_second = 5'000)
-      : net(sim) {
+      : net(0) {
     controller::SwitchNode::Config cfg;
     cfg.policy = alloc::MutantPolicy::most_constrained();
     sw = std::make_shared<controller::SwitchNode>("switch", cfg);
@@ -155,12 +154,11 @@ struct CaseStudyBed {
     sw->bind(kServerMac, 0);
     for (u32 i = 0; i < tenants; ++i) {
       tenant.push_back(std::make_unique<Tenant>(
-          sim, net, *sw, i, universe, alpha, requests_per_second, 77 + i));
+          net, *sw, i, universe, alpha, requests_per_second, 77 + i));
       tenant.back()->seed_server(*server);
     }
   }
 
-  netsim::Simulator sim;
   netsim::Network net;
   std::shared_ptr<controller::SwitchNode> sw;
   std::shared_ptr<apps::ServerNode> server;

@@ -18,8 +18,7 @@ using namespace artmt;
 int main() {
   set_log_level(LogLevel::kInfo);
 
-  netsim::Simulator sim;
-  netsim::Network net(sim);
+  netsim::Network net(0);  // 0 shards: the serial reference engine
 
   auto sw = std::make_shared<controller::SwitchNode>(
       "switch", controller::SwitchNode::Config{});
@@ -62,9 +61,9 @@ int main() {
     std::vector<std::pair<u64, u32>> hot;
     for (u32 rank = 500; rank-- > 0;) hot.emplace_back(key_of(rank), rank + 1);
     const std::size_t count = hot.size();
-    cache->populate(std::move(hot), [&sim, &cache, count] {
+    cache->populate(std::move(hot), [&net, &cache, count] {
       std::printf("[t=%.3fs] cache populated with %zu objects (%u buckets)\n",
-                  sim.now() / 1e9, count, cache->bucket_count());
+                  net.now() / 1e9, count, cache->bucket_count());
     });
   };
   cache->request_allocation();
@@ -74,12 +73,12 @@ int main() {
   std::function<void(u32)> fire = [&](u32 remaining) {
     if (remaining == 0) return;
     cache->get(key_of(zipf.next_rank(rng)));
-    sim.schedule_after(100 * 1000,
-                       [&fire, remaining] { fire(remaining - 1); });
+    net.simulator().schedule_after(
+        100 * 1000, [&fire, remaining] { fire(remaining - 1); });
   };
-  sim.schedule_at(2 * kSecond, [&fire] { fire(20'000); });
+  net.schedule_on(*client, 2 * kSecond, [&fire] { fire(20'000); });
 
-  sim.run();
+  net.run();
   std::printf("\nresults: %llu hits, %llu misses (hit rate %.1f%%)\n",
               static_cast<unsigned long long>(hits),
               static_cast<unsigned long long>(misses),

@@ -17,8 +17,7 @@ using namespace artmt;
 int main() {
   set_log_level(LogLevel::kInfo);
 
-  netsim::Simulator sim;
-  netsim::Network net(sim);
+  netsim::Network net(0);  // 0 shards: the serial reference engine
   auto sw = std::make_shared<controller::SwitchNode>(
       "switch", controller::SwitchNode::Config{});
   auto client = std::make_shared<client::ClientNode>("client", 0x100, 0xaa);
@@ -59,13 +58,13 @@ int main() {
   lb->on_ready = [&] {
     lb->configure({4, 5, 6, 7}, [&] {
       std::printf("[t=%.3fs] VIP pool installed (4 servers)\n",
-                  sim.now() / 1e9);
+                  net.now() / 1e9);
       for (u32 flow = 1; flow <= kFlows; ++flow) lb->open_flow(flow);
     });
   };
   lb->request_allocation();
 
-  sim.run();
+  net.run();
 
   std::printf("\nflows opened: %u/%u\n", opened, kFlows);
   u64 total_data = 0;

@@ -18,8 +18,7 @@ using namespace artmt;
 int main() {
   set_log_level(LogLevel::kInfo);
 
-  netsim::Simulator sim;
-  netsim::Network net(sim);
+  netsim::Network net(0);  // 0 shards: the serial reference engine
   controller::SwitchNode::Config cfg;
   cfg.scheme = alloc::Scheme::kFirstFit;  // forces early sharing
   auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
@@ -49,23 +48,23 @@ int main() {
     caches[i]->on_ready = [&, index] {
       std::printf("[t=%.3fs] tenant %u operational: %u buckets across its "
                   "stages\n",
-                  sim.now() / 1e9, index, caches[index]->bucket_count());
+                  net.now() / 1e9, index, caches[index]->bucket_count());
       caches[index]->populate({{0x1000 + index, index + 1}});
     };
     caches[i]->on_relocated = [&, index] {
       std::printf("[t=%.3fs] tenant %u RELOCATED: now %u buckets; "
                   "repopulating hot set\n",
-                  sim.now() / 1e9, index, caches[index]->bucket_count());
+                  net.now() / 1e9, index, caches[index]->bucket_count());
       caches[index]->populate({{0x1000 + index, index + 1}});
     };
-    sim.schedule_at(i * 2 * kSecond, [&, index] {
+    net.schedule_on(*clients[i], i * 2 * kSecond, [&, index] {
       std::printf("[t=%.3fs] tenant %u requesting allocation\n",
-                  sim.now() / 1e9, index);
+                  net.now() / 1e9, index);
       caches[index]->request_allocation();
     });
   }
 
-  sim.run_until(10 * kSecond);
+  net.run_until(10 * kSecond);
 
   std::printf("\nfinal state:\n");
   for (u32 i = 0; i < 3; ++i) {

@@ -18,8 +18,7 @@ using namespace artmt;
 int main() {
   set_log_level(LogLevel::kInfo);
 
-  netsim::Simulator sim;
-  netsim::Network net(sim);
+  netsim::Network net(0);  // 0 shards: the serial reference engine
   auto sw = std::make_shared<controller::SwitchNode>(
       "switch", controller::SwitchNode::Config{});
   auto server = std::make_shared<apps::ServerNode>("server", 0xbb);
@@ -45,9 +44,9 @@ int main() {
     if (remaining == 0) {
       // Stream done: pull the tables and report.
       monitor->extract(
-          [&sim](std::vector<std::pair<u64, u32>> items) {
+          [&net](std::vector<std::pair<u64, u32>> items) {
             std::printf("\n[t=%.3fs] %zu heavy hitters detected:\n",
-                        sim.now() / 1e9, items.size());
+                        net.now() / 1e9, items.size());
             for (std::size_t i = 0; i < items.size() && i < 10; ++i) {
               std::printf("  #%zu key=0x%016llx count>=%u\n", i + 1,
                           static_cast<unsigned long long>(items[i].first),
@@ -62,17 +61,17 @@ int main() {
     }
     monitor->observe(
         workload::ZipfGenerator::key_for_rank(zipf.next_rank(rng)));
-    sim.schedule_after(50 * 1000,
-                       [&observe, remaining] { observe(remaining - 1); });
+    net.simulator().schedule_after(
+        50 * 1000, [&observe, remaining] { observe(remaining - 1); });
   };
   monitor->on_ready = [&] {
     std::printf("[t=%.3fs] monitor allocated (%u table slots)\n",
-                sim.now() / 1e9, monitor->table_words());
+                net.now() / 1e9, monitor->table_words());
     observe(30'000);
   };
   monitor->request_allocation();
 
-  sim.run();
+  net.run();
   std::printf("\nswitch stats: %llu capsules, %llu recirculations\n",
               static_cast<unsigned long long>(sw->runtime().stats().packets),
               static_cast<unsigned long long>(

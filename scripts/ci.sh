@@ -155,6 +155,22 @@ run_migration_soak() {
     echo "migration-soak: artmt_stats --migration diverges across shard counts" >&2
     exit 1
   fi
+  # Both engines run the switch on modeled allocator compute, so the serial
+  # snapshot is reproducible run to run and equals the one-shard sharded
+  # snapshot once the sharding.* engine stats are set aside.
+  serial_a="$(./build/tools/artmt_stats 2>/dev/null)"
+  serial_b="$(./build/tools/artmt_stats 2>/dev/null)"
+  if [ "$serial_a" != "$serial_b" ]; then
+    echo "migration-soak: two serial artmt_stats snapshots differ" >&2
+    diff <(echo "$serial_a") <(echo "$serial_b") >&2 || true
+    exit 1
+  fi
+  one_shard="$(./build/tools/artmt_stats --shards 1 2>/dev/null | grep -v sharding)"
+  if [ "$(echo "$serial_a" | grep -v sharding)" != "$one_shard" ]; then
+    echo "migration-soak: serial artmt_stats differs from --shards 1" >&2
+    diff <(echo "$serial_a" | grep -v sharding) <(echo "$one_shard") >&2 || true
+    exit 1
+  fi
 }
 
 run_fabric_soak() {

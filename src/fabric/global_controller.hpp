@@ -98,8 +98,7 @@ class GlobalController : public netsim::Node {
 
   // Starts the health-epoch train; probes stop once the virtual clock
   // passes `until` (so bounded runs drain). Must run on this node's
-  // shard: schedule via ShardedSimulator::schedule_on (or call directly
-  // in serial mode before run()).
+  // shard: schedule via Network::schedule_on (Topology::start does).
   void start(SimTime until);
 
   void on_frame(netsim::Frame frame, u32 port) override;

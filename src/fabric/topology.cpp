@@ -1,7 +1,5 @@
 #include "fabric/topology.hpp"
 
-#include "netsim/sharded.hpp"
-
 namespace artmt::fabric {
 
 packet::MacAddr Topology::leaf_mac(u32 i) const {
@@ -98,6 +96,13 @@ Topology::Topology(netsim::Network& net, const TopologyConfig& config)
     sw->set_scoreboard_provider(
         [sw] { return build_scoreboard(*sw).encode(); });
   }
+
+  const u32 shards = net.shards();
+  for (u32 i = 0; i < leaves; ++i) net.pin(*leaves_[i], i % shards);
+  for (u32 j = 0; j < spines; ++j) {
+    net.pin(*spines_[j], (leaves + j) % shards);
+  }
+  net.pin(*controller_, leaves % shards);
 }
 
 void Topology::attach_host(netsim::Node& host, u32 host_port, u32 leaf,
@@ -115,26 +120,9 @@ void Topology::attach_host(netsim::Node& host, u32 host_port, u32 leaf,
   }
 }
 
-void Topology::pin(netsim::ShardedSimulator& sharded) {
-  const u32 shards = sharded.shards();
-  for (u32 i = 0; i < leaves_.size(); ++i) {
-    sharded.pin(*leaves_[i], i % shards);
-  }
-  for (u32 j = 0; j < spines_.size(); ++j) {
-    sharded.pin(*spines_[j],
-                (static_cast<u32>(leaves_.size()) + j) % shards);
-  }
-  sharded.pin(*controller_, static_cast<u32>(leaves_.size()) % shards);
-}
-
-void Topology::start(netsim::Simulator& sim, SimTime at, SimTime until) {
-  sim.schedule_at(at, [this, until] { controller_->start(until); });
-}
-
-void Topology::start(netsim::ShardedSimulator& sharded, SimTime at,
-                     SimTime until) {
-  sharded.schedule_on(*controller_, at,
-                      [this, until] { controller_->start(until); });
+void Topology::start(SimTime at, SimTime until) {
+  net_->schedule_on(*controller_, at,
+                    [this, until] { controller_->start(until); });
 }
 
 }  // namespace artmt::fabric

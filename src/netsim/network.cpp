@@ -1,5 +1,6 @@
 #include "netsim/network.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "netsim/sharded.hpp"
@@ -24,16 +25,43 @@ void Node::assert_confined() const {
   }
 }
 
-Network::Network(ShardedSimulator& sharded) : sharded_(&sharded) {
-  sharded.bind_network(*this);
-  const u32 n = sharded.shards();
-  shard_counters_.resize(n);
-  for (u32 i = 0; i < n; ++i) {
-    telemetry::MetricsRegistry& reg = sharded.shard_metrics(i);
-    shard_counters_[i].m_delivered = &reg.counter("netsim", "frames_delivered");
-    shard_counters_[i].m_bytes = &reg.counter("netsim", "bytes_delivered");
-    shard_counters_[i].m_dropped = &reg.counter("netsim", "frames_dropped");
+Network::Network(u32 shards) {
+  if (shards == 0) {
+    owned_sim_ = std::make_unique<Simulator>();
+    owned_metrics_ = std::make_unique<telemetry::MetricsRegistry>();
+    sim_ = owned_sim_.get();
+    shard_counters_.resize(1);
+    set_metrics(owned_metrics_.get());
+  } else {
+    owned_sharded_ = std::make_unique<ShardedSimulator>(shards);
+    sharded_ = owned_sharded_.get();
+    bind_sharded();
   }
+}
+
+Network::Network(Simulator& sim) : sim_(&sim), shard_counters_(1) {}
+
+Network::Network(ShardedSimulator& sharded) : sharded_(&sharded) {
+  bind_sharded();
+}
+
+Network::~Network() = default;
+
+void Network::bind_sharded() {
+  sharded_->bind_network(*this);
+  shard_counters_.resize(sharded_->shards());
+  for (u32 i = 0; i < shard_counters_.size(); ++i) {
+    shard_counters_[i].wire(&sharded_->shard_metrics(i));
+  }
+}
+
+void Network::ShardCounters::wire(telemetry::MetricsRegistry* metrics) {
+  const auto handle = [metrics](const char* name) {
+    return metrics != nullptr ? &metrics->counter("netsim", name) : nullptr;
+  };
+  m_delivered = handle("frames_delivered");
+  m_bytes = handle("bytes_delivered");
+  m_dropped = handle("frames_dropped");
 }
 
 Simulator& Network::shard_simulator() const {
@@ -41,7 +69,7 @@ Simulator& Network::shard_simulator() const {
   if (ctx != nullptr && ctx->owner == sharded_) return *ctx->sim;
   // Quiescent: all shard clocks agree, so shard 0 stands in for "the"
   // simulator (tool code scheduling here lands on shard 0; use
-  // ShardedSimulator::schedule_on to target another node's shard).
+  // schedule_on to target another node's shard).
   return sharded_->shard_sim(0);
 }
 
@@ -51,39 +79,86 @@ FramePool& Network::shard_pool() {
   return sharded_->shard_pool(0);
 }
 
+void Network::run() {
+  if (sharded_ != nullptr) {
+    sharded_->run();
+  } else {
+    sim_->run();
+  }
+}
+
+void Network::run_until(SimTime until) {
+  if (sharded_ != nullptr) {
+    sharded_->run_until(until);
+  } else {
+    sim_->run_until(until);
+  }
+}
+
+SimTime Network::now() const {
+  if (sharded_ == nullptr) return sim_->now();
+  const auto* ctx = detail::tls_shard;
+  return (ctx != nullptr && ctx->owner == sharded_) ? ctx->sim->now()
+                                                    : sharded_->now();
+}
+
+u32 Network::shards() const {
+  return sharded_ != nullptr ? sharded_->shards() : 1;
+}
+
+void Network::schedule_on(const Node& node, SimTime at,
+                          Simulator::Action action) {
+  if (sharded_ != nullptr) {
+    sharded_->schedule_on(node, at, std::move(action));
+  } else {
+    sim_->schedule_at(at, std::move(action));
+  }
+}
+
+void Network::pin(Node& node, u32 shard) {
+  if (sharded_ != nullptr) {
+    sharded_->pin(node, shard);
+  } else if (shard != 0) {
+    throw UsageError("Network::pin: the serial engine has only shard 0");
+  }
+}
+
+telemetry::MetricsRegistry& Network::metrics(u32 shard) {
+  if (sharded_ != nullptr) return sharded_->shard_metrics(shard);
+  if (shard != 0) {
+    throw UsageError("Network::metrics: the serial engine has only shard 0");
+  }
+  if (serial_metrics_ == nullptr) {
+    throw UsageError("Network::metrics: no registry (call set_metrics)");
+  }
+  return *serial_metrics_;
+}
+
+void Network::merge_metrics_into(telemetry::MetricsRegistry& out) const {
+  if (sharded_ == nullptr) {
+    if (serial_metrics_ != nullptr) out.merge_from(*serial_metrics_);
+    return;
+  }
+  for (u32 i = 0; i < sharded_->shards(); ++i) {
+    out.merge_from(sharded_->shard_metrics(i));
+  }
+}
+
 void Network::set_metrics(telemetry::MetricsRegistry* metrics) {
   if (sharded_ != nullptr) {
     throw UsageError(
         "Network::set_metrics: sharded mode wires per-shard registries "
-        "automatically; merge them via ShardedSimulator::merge_metrics_into");
+        "automatically; read them via metrics() / merge_metrics_into");
   }
-  if (metrics == nullptr) {
-    m_delivered_ = nullptr;
-    m_bytes_ = nullptr;
-    m_dropped_ = nullptr;
-    return;
-  }
-  m_delivered_ = &metrics->counter("netsim", "frames_delivered");
-  m_bytes_ = &metrics->counter("netsim", "bytes_delivered");
-  m_dropped_ = &metrics->counter("netsim", "frames_dropped");
+  serial_metrics_ = metrics;
+  sim_->set_metrics(metrics);
+  shard_counters_[0].wire(metrics);
 }
 
-u64 Network::frames_delivered() const {
-  u64 total = frames_delivered_;
-  for (const auto& c : shard_counters_) total += c.delivered;
-  return total;
-}
-
-u64 Network::bytes_delivered() const {
-  u64 total = bytes_delivered_;
-  for (const auto& c : shard_counters_) total += c.bytes;
-  return total;
-}
-
-u64 Network::frames_dropped() const {
-  u64 total = frames_dropped_;
-  for (const auto& c : shard_counters_) total += c.dropped;
-  return total;
+u64 Network::total(u64 ShardCounters::*field) const {
+  u64 sum = 0;
+  for (const auto& c : shard_counters_) sum += c.*field;
+  return sum;
 }
 
 void Network::attach(std::shared_ptr<Node> node) {
@@ -108,19 +183,14 @@ void Network::connect(Node& node_a, u32 port_a, Node& node_b, u32 port_b,
 }
 
 void Network::count_drop(const Node& from, u32 port, std::size_t bytes) {
-  if (sharded_ != nullptr) {
-    const auto* ctx = detail::tls_shard;
-    const u32 shard =
-        (ctx != nullptr && ctx->owner == sharded_) ? ctx->index : 0;
-    ShardCounters& c = shard_counters_[shard];
-    ++c.dropped;
-    if (c.m_dropped != nullptr) c.m_dropped->inc();
-    // Trace emission is skipped under workers: the sink is a process
-    // global and the hot path stays lock-free.
-    return;
-  }
-  ++frames_dropped_;
-  if (m_dropped_ != nullptr) m_dropped_->inc();
+  const auto* ctx = detail::tls_shard;  // null serially and while quiescent
+  const bool worker = ctx != nullptr && ctx->owner == sharded_;
+  ShardCounters& c = shard_counters_[worker ? ctx->index : 0];
+  ++c.dropped;
+  if (c.m_dropped != nullptr) c.m_dropped->inc();
+  // Only the serial engine traces drops: the sink is a process global and
+  // the sharded hot path stays lock-free.
+  if (sharded_ != nullptr) return;
   if (auto* sink = telemetry::trace_sink()) {
     sink->emit("netsim", "frame_dropped", telemetry::kNoFid,
                {{"node", from.name()}, {"port", port}, {"bytes", bytes}});
@@ -140,60 +210,49 @@ void Network::deliver(Node& dest, u32 port, Frame frame, u32 shard) {
 
 void Network::dispatch(const Endpoint& dest, Node& from, u64 tx_seq,
                        SimTime send, SimTime arrival, Frame frame) {
+  Simulator* queue = sim_;
+  u32 shard = 0;
   if (sharded_ != nullptr) {
     const auto* ctx = detail::tls_shard;
-    if (ctx != nullptr && ctx->owner == sharded_ &&
-        dest.node->shard_ == ctx->index) {
-      // Same-shard delivery: the slab already lives in this shard's pool
-      // and no other worker can observe the event, so schedule it
-      // directly instead of parking it in a mailbox until the barrier.
-      // The canonical delivery key makes the queue position identical to
-      // what a barrier drain would have produced, so this is purely a
-      // scheduling relaxation -- it also frees the epoch window to be
-      // derived from cross-shard link latencies alone.
-      Node* node = dest.node;
-      const u32 port = dest.port;
-      const u32 shard = ctx->index;
-      ctx->sim->schedule_delivery(
-          arrival, send, from.attach_index_, tx_seq,
-          [this, node, port, shard,
-           span = telemetry::span_id(from.attach_index_, tx_seq),
-           f = std::move(frame)]() mutable {
-            // Delivery runs under the transmission's span, so anything the
-            // handler sends is causally parented to this frame.
-            telemetry::SpanScope scope(span);
-            deliver(*node, port, std::move(f), shard);
-          });
+    if (ctx == nullptr || ctx->owner != sharded_ ||
+        dest.node->shard_ != ctx->index) {
+      // Cross-shard (or quiescent) delivery: mailbox, drained at the
+      // epoch barrier; ordering stays canonical because the drain
+      // schedules with the same delivery key.
+      ShardedSimulator::MailMsg msg;
+      msg.net = this;
+      msg.dest = dest.node;
+      msg.port = dest.port;
+      msg.src_shard = from.shard_;
+      msg.src_index = from.attach_index_;
+      msg.tx_seq = tx_seq;
+      msg.send = send;
+      msg.arrival = arrival;
+      msg.frame = std::move(frame);
+      sharded_->enqueue(std::move(msg));
       return;
     }
-    // Cross-shard (or quiescent) delivery: mailbox, drained at the epoch
-    // barrier; ordering stays canonical because the drain schedules with
-    // the same delivery key.
-    ShardedSimulator::MailMsg msg;
-    msg.net = this;
-    msg.dest = dest.node;
-    msg.port = dest.port;
-    msg.src_shard = from.shard_;
-    msg.src_index = from.attach_index_;
-    msg.tx_seq = tx_seq;
-    msg.send = send;
-    msg.arrival = arrival;
-    msg.frame = std::move(frame);
-    sharded_->enqueue(std::move(msg));
-    return;
+    // Same-shard delivery: the slab already lives in this shard's pool
+    // and no other worker can observe the event, so schedule it directly
+    // instead of parking it in a mailbox until the barrier. The canonical
+    // delivery key makes the queue position identical to what a barrier
+    // drain would have produced, so this is purely a scheduling
+    // relaxation -- it also frees the epoch window to be derived from
+    // cross-shard link latencies alone.
+    queue = ctx->sim;
+    shard = ctx->index;
   }
-  sim_->schedule_delivery(
+  Node* node = dest.node;
+  const u32 port = dest.port;
+  queue->schedule_delivery(
       arrival, send, from.attach_index_, tx_seq,
-      [this, dest, span = telemetry::span_id(from.attach_index_, tx_seq),
+      [this, node, port, shard,
+       span = telemetry::span_id(from.attach_index_, tx_seq),
        f = std::move(frame)]() mutable {
+        // Delivery runs under the transmission's span, so anything the
+        // handler sends is causally parented to this frame.
         telemetry::SpanScope scope(span);
-        ++frames_delivered_;
-        bytes_delivered_ += f.size();
-        if (m_delivered_ != nullptr) {
-          m_delivered_->inc();
-          m_bytes_->inc(f.size());
-        }
-        dest.node->on_frame(std::move(f), dest.port);
+        deliver(*node, port, std::move(f), shard);
       });
 }
 
@@ -212,14 +271,7 @@ void Network::transmit(Node& from, u32 port, Frame frame) {
   // shard-count-invariant.
   const u64 tx_seq = from.tx_seq_++;
 
-  SimTime send;
-  if (sharded_ != nullptr) {
-    const auto* ctx = detail::tls_shard;
-    send = (ctx != nullptr && ctx->owner == sharded_) ? ctx->sim->now()
-                                                      : sharded_->now();
-  } else {
-    send = sim_->now();
-  }
+  const SimTime send = now();
 
   // Span ids reuse the fault injector's (attach_index, tx_seq) key, so
   // they are byte-identical across engines and shard counts. Noted before

@@ -108,18 +108,26 @@ class TransmitHook {
 // Owns nodes and links; routes frames between node ports over the virtual
 // clock, modelling serialization + propagation delay per frame.
 //
-// Two drive modes: a serial Simulator (every delivery is scheduled
-// directly on the one event queue) or a ShardedSimulator (transmit
-// enqueues into per-shard mailboxes drained at the epoch barrier;
-// simulator() and pool() resolve to the calling worker's shard so node
-// code is mode-agnostic).
+// The one handle that drives a run on either engine: the serial
+// Simulator (the reference engine, bookkept as one shard) or a
+// ShardedSimulator (cross-shard transmits go through per-shard mailboxes
+// drained at the epoch barrier). simulator() and pool() resolve to the
+// calling worker's shard, so node code is engine-agnostic; run(),
+// schedule_on(), pin() and metrics() make driver code so too.
 class Network {
  public:
-  explicit Network(Simulator& sim) : sim_(&sim) {}
-
-  // Sharded mode: per-shard FramePools and delivery counters; transmit
-  // routes through the engine's mailboxes. One Network per engine.
+  // Builds and owns its engine: `shards` == 0 is the serial Simulator,
+  // recording into a registry the network owns (set_metrics redirects
+  // it); `shards` >= 1 a ShardedSimulator of that many shards.
+  explicit Network(u32 shards);
+  // Drives a caller-owned engine (serial: no registry until set_metrics).
+  // One Network per ShardedSimulator.
+  explicit Network(Simulator& sim);
   explicit Network(ShardedSimulator& sharded);
+
+  ~Network();
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   // Attaches a node; the network keeps a non-owning pointer (caller keeps
   // the node alive for the network's lifetime, enforced by shared_ptr).
@@ -134,6 +142,25 @@ class Network {
   // connected (an unplugged cable, not an error) — counted in
   // frames_dropped().
   void transmit(Node& from, u32 port, Frame frame);
+
+  // Driving a run: quiescent only (main thread, between runs), except
+  // now(), which reads the calling worker's shard clock. run_until runs
+  // events exactly at `until`.
+  void run();
+  void run_until(SimTime until);
+  [[nodiscard]] SimTime now() const;
+  [[nodiscard]] u32 shards() const;  // the serial engine is one shard
+  // Schedules `action` at `at` on the shard owning `node` (closures that
+  // touch a node must run there).
+  void schedule_on(const Node& node, SimTime at, Simulator::Action action);
+  // See ShardedSimulator::pin; the serial engine accepts only shard 0.
+  void pin(Node& node, u32 shard);
+  // The registry shard `shard`'s components record into (serial: the
+  // set_metrics registry), and the merge of every shard's registry.
+  [[nodiscard]] telemetry::MetricsRegistry& metrics(u32 shard);
+  void merge_metrics_into(telemetry::MetricsRegistry& out) const;
+  // The sharded engine, for readers of its ShardStats; null on serial.
+  [[nodiscard]] ShardedSimulator* sharded() const { return sharded_; }
 
   // Serial mode: the one Simulator. Sharded mode: the calling worker's
   // shard Simulator (thread-local), or shard 0's while quiescent -- all
@@ -150,16 +177,22 @@ class Network {
     if (sharded_ == nullptr) return pool_;
     return shard_pool();
   }
-  // Quiescent-only reads in sharded mode (sum over per-shard blocks).
-  [[nodiscard]] u64 frames_delivered() const;
-  [[nodiscard]] u64 bytes_delivered() const;
-  [[nodiscard]] u64 frames_dropped() const;
+  // Quiescent-only reads (sums over the per-shard blocks).
+  [[nodiscard]] u64 frames_delivered() const {
+    return total(&ShardCounters::delivered);
+  }
+  [[nodiscard]] u64 bytes_delivered() const {
+    return total(&ShardCounters::bytes);
+  }
+  [[nodiscard]] u64 frames_dropped() const {
+    return total(&ShardCounters::dropped);
+  }
 
-  // Mirrors delivery/drop counts into `metrics` under component "netsim"
+  // Serial engine: records the network's delivery/drop counts and the
+  // Simulator's dispatch counts into `metrics` under component "netsim"
   // (nullptr detaches). Drops also emit a "frame_dropped" trace event
-  // while a telemetry::TraceSink is installed. Sharded mode wires each
-  // shard's counters into that shard's registry automatically; calling
-  // this there throws UsageError (merge shard registries instead).
+  // while a telemetry::TraceSink is installed. The sharded engine wires
+  // each shard's registry itself; calling this there throws UsageError.
   void set_metrics(telemetry::MetricsRegistry* metrics);
 
   // Installs (or with nullptr removes) the transmit hook. Install while
@@ -197,9 +230,9 @@ class Network {
     }
   };
 
-  // Per-shard delivery counters, one cache line each so neighbouring
-  // shards' workers never share a line. Telemetry handles point into the
-  // owning shard's registry (single writer preserved).
+  // Per-shard delivery counters (one block serially), one cache line each
+  // so neighbouring shards' workers never share a line. Telemetry handles
+  // point into the owning shard's registry (single writer preserved).
   struct alignas(64) ShardCounters {
     u64 delivered = 0;
     u64 bytes = 0;
@@ -207,35 +240,42 @@ class Network {
     telemetry::Counter* m_delivered = nullptr;
     telemetry::Counter* m_bytes = nullptr;
     telemetry::Counter* m_dropped = nullptr;
+    // Points the handles into `metrics` (nullptr detaches).
+    void wire(telemetry::MetricsRegistry* metrics);
   };
 
   // Out-of-line thread-local resolution (netsim/sharded.cpp owns the TLS).
   [[nodiscard]] Simulator& shard_simulator() const;
   [[nodiscard]] FramePool& shard_pool();
-  // Runs a delivery on the destination shard's worker: counts it against
-  // `shard` and hands the frame to the node. Called by ShardedSimulator.
+  [[nodiscard]] u64 total(u64 ShardCounters::*field) const;
+  void bind_sharded();
+  // Runs a delivery on the destination shard's queue: counts it against
+  // `shard` and hands the frame to the node. Every delivery ends here.
   void deliver(Node& dest, u32 port, Frame frame, u32 shard);
-  // Schedules one copy of a frame for delivery (per-mode: serial event or
-  // sharded mailbox message).
+  // Schedules one copy of a frame for delivery: an event on the sender's
+  // own queue when the destination shares it (always, serially), else a
+  // message in the sharded engine's mailboxes.
   void dispatch(const Endpoint& dest, Node& from, u64 tx_seq, SimTime send,
                 SimTime arrival, Frame frame);
   void count_drop(const Node& from, u32 port, std::size_t bytes);
 
+  // Built by Network(u32); declared first so they outlive the rest of
+  // the network, as a caller-owned engine does (and the registry outlives
+  // the engine recording into it).
+  std::unique_ptr<telemetry::MetricsRegistry> owned_metrics_;
+  std::unique_ptr<Simulator> owned_sim_;
+  std::unique_ptr<ShardedSimulator> owned_sharded_;
+
   Simulator* sim_ = nullptr;
   ShardedSimulator* sharded_ = nullptr;
+  telemetry::MetricsRegistry* serial_metrics_ = nullptr;
   TransmitHook* hook_ = nullptr;
   FramePool pool_;
   std::vector<std::shared_ptr<Node>> nodes_;
   // (node, port) -> egress direction; built in connect() so transmit()
   // resolves the peer in O(1) instead of scanning every link.
   std::unordered_map<PortKey, Egress, PortKeyHash> egress_;
-  u64 frames_delivered_ = 0;
-  u64 bytes_delivered_ = 0;
-  u64 frames_dropped_ = 0;
-  std::vector<ShardCounters> shard_counters_;  // sharded mode only
-  telemetry::Counter* m_delivered_ = nullptr;
-  telemetry::Counter* m_bytes_ = nullptr;
-  telemetry::Counter* m_dropped_ = nullptr;
+  std::vector<ShardCounters> shard_counters_;  // one per shard
 };
 
 }  // namespace artmt::netsim

@@ -153,24 +153,6 @@ void ShardedSimulator::pin(Node& node, u32 shard) {
   node.shard_assigned_ = true;
 }
 
-void ShardedSimulator::schedule_at(SimTime at, Simulator::Action action) {
-  const auto* ctx = detail::tls_shard;
-  if (ctx != nullptr && ctx->owner == this) {
-    ctx->sim->schedule_at(at, std::move(action));
-    return;
-  }
-  shards_[0]->sim.schedule_at(at, std::move(action));
-}
-
-void ShardedSimulator::schedule_after(SimTime delay, Simulator::Action action) {
-  const auto* ctx = detail::tls_shard;
-  if (ctx != nullptr && ctx->owner == this) {
-    ctx->sim->schedule_after(delay, std::move(action));
-    return;
-  }
-  shards_[0]->sim.schedule_after(delay, std::move(action));
-}
-
 void ShardedSimulator::schedule_on(const Node& node, SimTime at,
                                    Simulator::Action action) {
   if (detail::tls_shard != nullptr) {
@@ -196,13 +178,6 @@ telemetry::MetricsRegistry& ShardedSimulator::shard_metrics(u32 shard) {
   return *shards_[shard]->metrics;
 }
 
-void ShardedSimulator::merge_metrics_into(
-    telemetry::MetricsRegistry& out) const {
-  for (const auto& shard : shards_) {
-    out.merge_from(*shard->metrics);
-  }
-}
-
 void ShardedSimulator::export_shard_stats(
     telemetry::MetricsRegistry& out) const {
   // merge_add accumulates: export once per snapshot registry.
@@ -221,8 +196,8 @@ void ShardedSimulator::export_shard_stats(
   }
   // Engine-wide scheduler shape: widths of bounded epoch windows and the
   // count of unbounded (no cross-shard constraint) ones. Lives here and
-  // not in merge_metrics_into because the epoch partition varies with the
-  // shard count.
+  // not in Network::merge_metrics_into because the epoch partition varies
+  // with the shard count.
   out.histogram("sharding", "epoch_width_ns").merge_from(epoch_width_);
   out.counter("sharding", "unbounded_epochs").merge_add(unbounded_epochs_);
 }

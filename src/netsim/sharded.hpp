@@ -132,13 +132,10 @@ class ShardedSimulator {
   // the switch is pinned to shard 0.
   void pin(Node& node, u32 shard);
 
-  // Quiescent (main-thread, between runs) API mirroring Simulator.
-  // schedule_at/after land on shard 0; use schedule_on to start work on
-  // the shard that owns a specific node (closures touching a node MUST
-  // run on its owning shard -- assert_confined trips otherwise). Worker
-  // code never calls these; it schedules via network().simulator().
-  void schedule_at(SimTime at, Simulator::Action action);
-  void schedule_after(SimTime delay, Simulator::Action action);
+  // Quiescent (main-thread, between runs) API mirroring Simulator:
+  // schedule_on starts work on the shard that owns `node` (closures
+  // touching a node MUST run on its owning shard -- assert_confined trips
+  // otherwise). Worker code schedules via network().simulator().
   void schedule_on(const Node& node, SimTime at, Simulator::Action action);
 
   // Runs epochs until every shard's queue drains / the clock would pass
@@ -155,16 +152,12 @@ class ShardedSimulator {
 
   [[nodiscard]] const ShardStats& shard_stats(u32 shard) const;
   // The registry shard `shard`'s components record into (the switch's
-  // Config::metrics should point at its shard's registry).
+  // Config::metrics should point at its shard's registry; see also
+  // Network::metrics / merge_metrics_into).
   [[nodiscard]] telemetry::MetricsRegistry& shard_metrics(u32 shard);
 
-  // Folds every per-shard registry into `out` (commutative sums /
-  // histogram merges; deterministic for a given simulation). Quiescent
-  // only. Does NOT include ShardStats -- see export_shard_stats.
-  void merge_metrics_into(telemetry::MetricsRegistry& out) const;
-
   // Publishes per-shard ShardStats into `out` under component "sharding"
-  // with fid = shard index. Kept separate from merge_metrics_into because
+  // with fid = shard index. Kept out of Network::merge_metrics_into because
   // barrier_wait_ns and serial_ns are wall clock and per-shard splits
   // vary with the shard count -- including them would break
   // cross-shard-count snapshot equality that the determinism tests

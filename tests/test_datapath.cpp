@@ -34,9 +34,11 @@ class Recorder : public netsim::Node {
 // registry to share it with the caller (the telemetry tests read counters
 // directly); by default the switch keeps a private one.
 struct Bed {
-  explicit Bed(telemetry::MetricsRegistry* metrics = nullptr) {
+  explicit Bed(telemetry::MetricsRegistry* metrics = nullptr,
+               bool enforce_privilege = false) {
     SwitchNode::Config cfg;
     cfg.metrics = metrics;
+    cfg.enforce_privilege = enforce_privilege;
     sw = std::make_shared<SwitchNode>("switch", cfg);
     client = std::make_shared<Recorder>("client");
     server = std::make_shared<Recorder>("server");
@@ -51,11 +53,10 @@ struct Bed {
 
   void inject(std::vector<u8> frame) {
     net.transmit(*client, 0, net.pool().copy(frame));
-    sim.run();
+    net.run();
   }
 
-  netsim::Simulator sim;
-  netsim::Network net{sim};
+  netsim::Network net{0};
   std::shared_ptr<SwitchNode> sw;
   std::shared_ptr<Recorder> client;
   std::shared_ptr<Recorder> server;
@@ -162,6 +163,42 @@ TEST(Datapath, ParityDrop) {
   expect_golden(program_frame("MAR_LOAD $0\nMEM_READ\nRETURN",
                               ArgumentHeader{{500, 0, 0, 0}}),
                 0x412fb4d434e4f582ull);
+}
+
+// FORK through the switch: the clone egresses toward the original
+// destination alongside the executed capsule, so the server receives two
+// byte-identical frames from one forwarded capsule.
+TEST(Datapath, ForkForwardsTwoIdenticalFrames) {
+  Bed bed;
+  bed.inject(program_frame("MBR_LOAD $0\nFORK\nRETURN",
+                           ArgumentHeader{{6, 0, 0, 0}}));
+  ASSERT_EQ(bed.server->frames.size(), 2u);
+  EXPECT_EQ(bed.server->frames[0].to_vector(),
+            bed.server->frames[1].to_vector());
+  EXPECT_TRUE(bed.client->frames.empty());
+  EXPECT_EQ(bed.sw->node_stats().forwarded, 1u);
+  EXPECT_EQ(exchange_digest(bed), 0xa966f0279b4d31a0ull);
+}
+
+// Under privilege enforcement an unflagged FORK drops the capsule: no
+// clone and no original leave the switch.
+TEST(Datapath, UnprivilegedForkDropsWithoutClone) {
+  Bed bed(nullptr, /*enforce_privilege=*/true);
+  bed.inject(program_frame("MBR_LOAD $0\nFORK\nRETURN",
+                           ArgumentHeader{{6, 0, 0, 0}}));
+  EXPECT_TRUE(bed.server->frames.empty());
+  EXPECT_TRUE(bed.client->frames.empty());
+  EXPECT_EQ(bed.sw->runtime().stats().drops_privilege, 1u);
+  EXPECT_EQ(bed.sw->node_stats().forwarded, 0u);
+  EXPECT_EQ(bed.sw->node_stats().dropped, 1u);
+
+  // The same capsule with the trusted shim's flag forks as usual.
+  Bed trusted(nullptr, /*enforce_privilege=*/true);
+  trusted.inject(program_frame("MBR_LOAD $0\nFORK\nRETURN",
+                               ArgumentHeader{{6, 0, 0, 0}},
+                               packet::kFlagPrivileged));
+  EXPECT_EQ(trusted.server->frames.size(), 2u);
+  EXPECT_EQ(trusted.sw->runtime().stats().drops_privilege, 0u);
 }
 
 // ---------- in-place accounting and recycling ----------

@@ -30,7 +30,7 @@ class Testbed {
  public:
   explicit Testbed(u32 clients = 1,
                    alloc::Scheme scheme = alloc::Scheme::kWorstFit)
-      : net_(sim_) {
+      : net_(0) {
     SwitchNode::Config cfg;
     cfg.scheme = scheme;
     // Shrink control-plane costs so tests converge quickly; ratios stay
@@ -57,9 +57,8 @@ class Testbed {
     }
   }
 
-  void run_for(SimTime duration) { sim_.run_until(sim_.now() + duration); }
+  void run_for(SimTime duration) { net_.run_until(net_.now() + duration); }
 
-  netsim::Simulator sim_;
   netsim::Network net_;
   std::shared_ptr<SwitchNode> switch_;
   std::shared_ptr<ServerNode> server_;
@@ -290,10 +289,10 @@ TEST(E2E, RttGrowsWithProgramLength) {
     auto pkt = packet::ActivePacket::make_program(0, args, program);
     pkt.ethernet.src = kClientMacBase;
     pkt.ethernet.dst = kSwitchMac;
-    const SimTime sent = bed.sim_.now();
+    const SimTime sent = bed.net_.now();
     SimTime received = -1;
     bed.clients_[0]->on_unclaimed = [&](packet::ActivePacket&) {
-      received = bed.sim_.now();
+      received = bed.net_.now();
     };
     bed.net_.transmit(*bed.clients_[0], 0, pkt.serialize());
     bed.run_for(10 * kMillisecond);
@@ -344,8 +343,7 @@ TEST(E2E, MalformedRequestDeniedNotCrashed) {
 }
 
 TEST(E2E, PrivilegeEnforcementAtTheSwitch) {
-  netsim::Simulator sim;
-  netsim::Network net(sim);
+  netsim::Network net(0);
   SwitchNode::Config cfg;
   cfg.enforce_privilege = true;
   auto sw = std::make_shared<SwitchNode>("switch", cfg);
@@ -362,13 +360,12 @@ TEST(E2E, PrivilegeEnforcementAtTheSwitch) {
   pkt.ethernet.src = 0x100;
   pkt.ethernet.dst = kSwitchMac;
   net.transmit(*client, 0, pkt.serialize());
-  sim.run();
+  net.run();
   EXPECT_EQ(sw->runtime().stats().drops_privilege, 1u);
 }
 
 TEST(E2E, DefaultRecircBudgetAppliesToAdmittedFids) {
-  netsim::Simulator sim;
-  netsim::Network net(sim);
+  netsim::Network net(0);
   SwitchNode::Config cfg;
   cfg.default_recirc_budget = {1e-9, 1.0};  // one extra pass, ever
   auto sw = std::make_shared<SwitchNode>("switch", cfg);
@@ -381,7 +378,7 @@ TEST(E2E, DefaultRecircBudgetAppliesToAdmittedFids) {
   auto monitor = std::make_shared<FrequentItemService>("m", 0xbb);
   client->register_service(monitor);
   monitor->request_allocation();
-  sim.run_until(2 * kSecond);
+  net.run_until(2 * kSecond);
   ASSERT_TRUE(monitor->operational());
 
   // Heavy observations recirculate (the store pass); after the budget's
@@ -389,7 +386,7 @@ TEST(E2E, DefaultRecircBudgetAppliesToAdmittedFids) {
   monitor->observe(0x1);
   monitor->observe(0x2);
   monitor->observe(0x3);
-  sim.run_until(sim.now() + kSecond);
+  net.run_until(net.now() + kSecond);
   EXPECT_GE(sw->runtime().stats().drops_recirc_budget, 1u);
 }
 

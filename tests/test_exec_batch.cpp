@@ -25,7 +25,7 @@
 #include "apps/programs.hpp"
 #include "controller/switch_node.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
+#include "netsim/network.hpp"
 #include "packet/active_packet.hpp"
 #include "runtime/exec_batch.hpp"
 #include "telemetry/metrics.hpp"
@@ -35,7 +35,6 @@ namespace {
 
 using netsim::LinkSpec;
 using netsim::Network;
-using netsim::ShardedSimulator;
 
 // FNV-1a over 64-bit words: order-sensitive, so equal digests mean equal
 // event streams in equal order.
@@ -116,8 +115,7 @@ struct RunResult {
 };
 
 RunResult run_scenario(u32 shards, const faults::FaultPlan* plan) {
-  ShardedSimulator ssim(shards);
-  Network net(ssim);
+  Network net(shards);
   std::unique_ptr<faults::FaultInjector> injector;
   if (plan != nullptr) {
     injector = std::make_unique<faults::FaultInjector>(*plan, shards);
@@ -166,18 +164,18 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan) {
       sw->pipeline().stage(s).install(1, 0, 4096, 0);
     }
     const u32 shard = r % shards;
-    ssim.pin(*sw, shard);
-    ssim.pin(*client, shard);
-    ssim.pin(*server, shard);
+    net.pin(*sw, shard);
+    net.pin(*client, shard);
+    net.pin(*server, shard);
     switches.push_back(std::move(sw));
     clients.push_back(std::move(client));
     servers.push_back(std::move(server));
   }
   for (u32 r = 0; r < kRings; ++r) {
     WaveInjector inj{&net, clients[r].get(), &wires, kWaves};
-    ssim.schedule_on(*clients[r], ssim.now(), inj);
+    net.schedule_on(*clients[r], net.now(), inj);
   }
-  ssim.run();
+  net.run();
 
   RunResult out;
   Digest d;

@@ -24,7 +24,7 @@
 #include "fabric/topology.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
+#include "netsim/network.hpp"
 #include "proto/wire.hpp"
 #include "telemetry/metrics.hpp"
 #include "workload/zipf.hpp"
@@ -80,8 +80,7 @@ TEST(ScoreboardTest, BuildFromFreshSwitchIsAllFree) {
 // --- topology validation ---------------------------------------------------
 
 TEST(TopologyTest, RejectsDegenerateShapes) {
-  netsim::ShardedSimulator ssim(1);
-  netsim::Network net(ssim);
+  netsim::Network net(1);
   TopologyConfig one_leaf;
   one_leaf.leaves = 1;
   EXPECT_THROW(Topology(net, one_leaf), UsageError);
@@ -159,8 +158,7 @@ struct FabricOut {
 };
 
 FabricOut run_fabric(const FabricOpts& opts) {
-  netsim::ShardedSimulator ssim(opts.shards);
-  netsim::Network net(ssim);
+  netsim::Network net(opts.shards);
   std::unique_ptr<faults::FaultInjector> injector;
   if (opts.plan != nullptr) {
     injector = std::make_unique<faults::FaultInjector>(*opts.plan, opts.shards);
@@ -182,12 +180,11 @@ FabricOut run_fabric(const FabricOpts& opts) {
   tcfg.controller.epoch = 2 * kMillisecond;
   tcfg.controller.miss_threshold = 3;
   Topology topo(net, tcfg);
-  topo.pin(ssim);
 
   auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
   net.attach(server);
   topo.attach_host(*server, 0, opts.server_leaf, kServerMac);
-  ssim.pin(*server, opts.server_leaf % opts.shards);
+  net.pin(*server, opts.server_leaf % opts.shards);
 
   const u32 n = static_cast<u32>(opts.client_leaf.size());
   struct Tenant {
@@ -212,7 +209,7 @@ FabricOut run_fabric(const FabricOpts& opts) {
         topo.controller_mac());
     net.attach(t->client);
     topo.attach_host(*t->client, 0, opts.client_leaf[i], kClientMacBase + i);
-    ssim.pin(*t->client, opts.client_leaf[i] % opts.shards);
+    net.pin(*t->client, opts.client_leaf[i] % opts.shards);
     t->cache = std::make_shared<apps::CacheService>(
         "cache" + std::to_string(i), kServerMac);
     t->client->register_service(t->cache);
@@ -270,17 +267,17 @@ FabricOut run_fabric(const FabricOpts& opts) {
       t.stop_time = drive_stop;
       t.drive();
     };
-    ssim.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
-                     [&t] { t.cache->request_allocation(); });
+    net.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
+                    [&t] { t.cache->request_allocation(); });
   }
 
   if (opts.wipe_leaf0_at != 0) {
-    ssim.schedule_on(topo.leaf(0), opts.wipe_leaf0_at,
-                     [&topo] { topo.leaf(0).wipe_registers(); });
+    net.schedule_on(topo.leaf(0), opts.wipe_leaf0_at,
+                    [&topo] { topo.leaf(0).wipe_registers(); });
   }
 
-  topo.start(ssim, 1 * kMillisecond, opts.stop);
-  ssim.run_until(opts.stop + 500 * kMillisecond);
+  topo.start(1 * kMillisecond, opts.stop);
+  net.run_until(opts.stop + 500 * kMillisecond);
 
   FabricOut out;
   out.report = topo.controller().report();
@@ -302,7 +299,7 @@ FabricOut run_fabric(const FabricOpts& opts) {
     out.bad_values += t.bad_values;
   }
   out.reply_digest = combined.h;
-  out.completed_at = ssim.now();
+  out.completed_at = net.now();
   return out;
 }
 
@@ -492,8 +489,7 @@ TEST(FabricE2E, EvacuationDeterministicAcrossShards) {
 // fabric; meanwhile the controller re-places the service that died with
 // the leaf, and the client ends up fully served on the new paths.
 TEST(FabricFailover, DualHomedClientSwingsToBackupUplink) {
-  netsim::ShardedSimulator ssim(1);
-  netsim::Network net(ssim);
+  netsim::Network net(1);
   faults::FaultPlan plan;
   plan.flaps.push_back({"leaf0", "", 400 * kMillisecond, 10 * kSecond});
   faults::FaultInjector injector(plan, 1);
@@ -511,7 +507,6 @@ TEST(FabricFailover, DualHomedClientSwingsToBackupUplink) {
   tcfg.controller.epoch = 2 * kMillisecond;
   tcfg.controller.miss_threshold = 3;
   Topology topo(net, tcfg);
-  topo.pin(ssim);
 
   constexpr SimTime kStop = 1'200 * kMillisecond;
   auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
@@ -573,11 +568,11 @@ TEST(FabricFailover, DualHomedClientSwingsToBackupUplink) {
   probe.miss_threshold = 2;
   probe.until = kStop;
   client->enable_uplink_probe(probe);
-  ssim.schedule_on(*client, 50 * kMillisecond, [&] { client->probe_tick(); });
-  ssim.schedule_on(*client, 100 * kMillisecond,
-                   [&] { cache->request_allocation(); });
-  topo.start(ssim, 1 * kMillisecond, kStop);
-  ssim.run_until(kStop + 500 * kMillisecond);
+  net.schedule_on(*client, 50 * kMillisecond, [&] { client->probe_tick(); });
+  net.schedule_on(*client, 100 * kMillisecond,
+                  [&] { cache->request_allocation(); });
+  topo.start(1 * kMillisecond, kStop);
+  net.run_until(kStop + 500 * kMillisecond);
 
   EXPECT_EQ(client->failovers(), 1u);
   EXPECT_EQ(client->active_uplink(), 1u);
@@ -670,8 +665,7 @@ alloc::AllocationRequest tiny_request(u32 position, u32 blocks) {
 // needs, is deferred one migration interval instead of denied -- and the
 // retry, running after the compaction, is granted.
 TEST(AdmissionDeferralTest, QueuedReslideDefersThenAdmits) {
-  netsim::ShardedSimulator ssim(1);
-  netsim::Network net(ssim);
+  netsim::Network net(1);
 
   controller::SwitchNode::Config cfg;
   cfg.pipeline.logical_stages = 2;
@@ -699,13 +693,13 @@ TEST(AdmissionDeferralTest, QueuedReslideDefersThenAdmits) {
   u32 seq = 0;
   const auto admit_at = [&](SimTime at, u32 position, u32 blocks) {
     const u32 s = ++seq;
-    ssim.schedule_on(*raw, at, [&, s, position, blocks] {
+    net.schedule_on(*raw, at, [&, s, position, blocks] {
       raw->send(proto::encode_request(tiny_request(position, blocks), s));
     });
     return s;
   };
   const auto release_at = [&](SimTime at, u32 grant_seq) {
-    ssim.schedule_on(*raw, at, [&, grant_seq] {
+    net.schedule_on(*raw, at, [&, grant_seq] {
       const auto* grant = raw->response_for(grant_seq);
       ASSERT_NE(grant, nullptr);
       raw->send(packet::ActivePacket::make_control(
@@ -732,7 +726,7 @@ TEST(AdmissionDeferralTest, QueuedReslideDefersThenAdmits) {
   // the first; G (3 contiguous blocks in BOTH stages) arrives while the
   // other is still queued -> deferral, then a granted retry.
   u32 g = 0;
-  ssim.schedule_on(*raw, 220 * kMillisecond, [&] {
+  net.schedule_on(*raw, 220 * kMillisecond, [&] {
     alloc::AllocationRequest request;
     request.accesses = {alloc::AccessDemand{0, 3, -1},
                         alloc::AccessDemand{1, 3, -1}};
@@ -741,7 +735,7 @@ TEST(AdmissionDeferralTest, QueuedReslideDefersThenAdmits) {
     raw->send(proto::encode_request(request, g));
   });
 
-  ssim.run_until(400 * kMillisecond);
+  net.run_until(400 * kMillisecond);
 
   EXPECT_EQ(sw->metrics().counter_value("alloc", "admission_deferred"), 1u);
   const auto stats = sw->migration_stats();

@@ -23,7 +23,7 @@
 #include "client/reliability.hpp"
 #include "controller/switch_node.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
+#include "netsim/network.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace artmt {
@@ -37,7 +37,6 @@ using faults::FaultPlan;
 using faults::LinkFaults;
 using faults::LinkFlap;
 using netsim::Network;
-using netsim::ShardedSimulator;
 using netsim::Simulator;
 
 // --- Rng substreams (satellite: isolated fault randomness) ----------------
@@ -86,7 +85,7 @@ class SinkNode : public netsim::Node {
 
 // Two sinks on one serial link; frames are injected at scripted times.
 struct PairNet {
-  PairNet() : net(sim) {
+  PairNet() : net(0) {
     a = std::make_shared<SinkNode>("a");
     b = std::make_shared<SinkNode>("b");
     net.attach(a);
@@ -95,14 +94,13 @@ struct PairNet {
   }
 
   void send_at(SimTime at, netsim::Node& from, std::vector<u8> bytes) {
-    sim.schedule_at(at, [this, &from, bytes = std::move(bytes)] {
+    net.schedule_on(from, at, [this, &from, bytes = std::move(bytes)] {
       netsim::Frame f = net.pool().acquire(bytes.size());
       std::copy(bytes.begin(), bytes.end(), f.data());
       net.transmit(from, 0, std::move(f));
     });
   }
 
-  Simulator sim;
   Network net;
   std::shared_ptr<SinkNode> a, b;
 };
@@ -146,7 +144,7 @@ TEST(Injector, FullLossDropsEverything) {
   for (u32 i = 0; i < 20; ++i) {
     pair.send_at(i * 10 * kMicrosecond, *pair.a, payload_for(i));
   }
-  pair.sim.run();
+  pair.net.run();
   EXPECT_TRUE(pair.b->arrivals.empty());
   EXPECT_EQ(pair.net.frames_delivered(), 0u);
   EXPECT_EQ(injector.injected(FaultKind::kDrop), 20u);
@@ -163,7 +161,7 @@ TEST(Injector, PartialLossIsDeterministicAcrossRuns) {
     for (u32 i = 0; i < 200; ++i) {
       pair.send_at(i * 10 * kMicrosecond, *pair.a, payload_for(i));
     }
-    pair.sim.run();
+    pair.net.run();
     return std::tuple(arrivals_digest(*pair.b), pair.b->arrivals.size(),
                       injector.injected(FaultKind::kDrop));
   };
@@ -191,7 +189,7 @@ TEST(Injector, CorruptFlipsExactlyOneBit) {
 
   const std::vector<u8> sent = payload_for(1);
   pair.send_at(0, *pair.a, sent);
-  pair.sim.run();
+  pair.net.run();
 
   ASSERT_EQ(pair.b->arrivals.size(), 1u);
   const auto& got = pair.b->arrivals[0].bytes;
@@ -220,7 +218,7 @@ TEST(Injector, DuplicateDeliversBothCopies) {
 
   const std::vector<u8> sent = payload_for(2);
   pair.send_at(0, *pair.a, sent);
-  pair.sim.run();
+  pair.net.run();
 
   ASSERT_EQ(pair.b->arrivals.size(), 2u);
   EXPECT_EQ(pair.b->arrivals[0].bytes, sent);
@@ -243,7 +241,7 @@ TEST(Injector, ReorderLetsLaterFrameOvertake) {
 
   pair.send_at(0, *pair.a, payload_for(1));
   pair.send_at(10 * kMicrosecond, *pair.a, payload_for(2));
-  pair.sim.run();
+  pair.net.run();
 
   ASSERT_EQ(pair.b->arrivals.size(), 2u);
   EXPECT_EQ(pair.b->arrivals[0].bytes, payload_for(2));  // overtook
@@ -256,7 +254,7 @@ TEST(Injector, JitterDelaysWithinBound) {
   // Reference arrival without faults.
   PairNet clean;
   clean.send_at(0, *clean.a, payload_for(1));
-  clean.sim.run();
+  clean.net.run();
   ASSERT_EQ(clean.b->arrivals.size(), 1u);
   const SimTime nominal = clean.b->arrivals[0].at;
 
@@ -269,7 +267,7 @@ TEST(Injector, JitterDelaysWithinBound) {
   FaultInjector injector(plan);
   pair.net.set_transmit_hook(&injector);
   pair.send_at(0, *pair.a, payload_for(1));
-  pair.sim.run();
+  pair.net.run();
 
   ASSERT_EQ(pair.b->arrivals.size(), 1u);
   EXPECT_GE(pair.b->arrivals[0].at, nominal);
@@ -293,7 +291,7 @@ TEST(Injector, RuleTimeWindowIsRespected) {
   pair.send_at(0, *pair.a, payload_for(0));                  // before
   pair.send_at(15 * kMicrosecond, *pair.a, payload_for(1));  // inside
   pair.send_at(30 * kMicrosecond, *pair.a, payload_for(2));  // after
-  pair.sim.run();
+  pair.net.run();
 
   ASSERT_EQ(pair.b->arrivals.size(), 2u);
   EXPECT_EQ(pair.b->arrivals[0].bytes, payload_for(0));
@@ -317,7 +315,7 @@ TEST(Injector, LinkFlapCutsBothDirectionsDuringWindow) {
   pair.send_at(15 * kMicrosecond, *pair.a, payload_for(1));  // down, a->b
   pair.send_at(20 * kMicrosecond, *pair.b, payload_for(2));  // down, b->a
   pair.send_at(30 * kMicrosecond, *pair.a, payload_for(3));  // up again
-  pair.sim.run();
+  pair.net.run();
 
   ASSERT_EQ(pair.b->arrivals.size(), 2u);
   EXPECT_TRUE(pair.a->arrivals.empty());
@@ -330,8 +328,7 @@ TEST(Injector, LinkFlapCutsBothDirectionsDuringWindow) {
 }
 
 TEST(Injector, FlapMatchesNamedLinkOnly) {
-  Simulator sim;
-  Network net(sim);
+  Network net(0);
   auto a = std::make_shared<SinkNode>("a");
   auto b = std::make_shared<SinkNode>("b");
   auto c = std::make_shared<SinkNode>("c");
@@ -347,7 +344,7 @@ TEST(Injector, FlapMatchesNamedLinkOnly) {
   FaultInjector injector(plan);
   net.set_transmit_hook(&injector);
 
-  sim.schedule_at(0, [&] {
+  net.schedule_on(*a, 0, [&] {
     netsim::Frame f = net.pool().acquire(32);
     std::fill(f.data(), f.data() + 32, u8{1});
     net.transmit(*a, 0, std::move(f));  // a->b: cut
@@ -355,7 +352,7 @@ TEST(Injector, FlapMatchesNamedLinkOnly) {
     std::fill(g.data(), g.data() + 32, u8{2});
     net.transmit(*a, 1, std::move(g));  // a->c: unaffected
   });
-  sim.run();
+  net.run();
 
   EXPECT_TRUE(b->arrivals.empty());
   ASSERT_EQ(c->arrivals.size(), 1u);
@@ -375,7 +372,7 @@ TEST(Injector, BrownoutCutsAllTrafficOfTheNode) {
   pair.send_at(8 * kMicrosecond, *pair.a, payload_for(1));   // to browned-out
   pair.send_at(10 * kMicrosecond, *pair.b, payload_for(2));  // from it
   pair.send_at(15 * kMicrosecond, *pair.a, payload_for(3));  // up-edge: alive
-  pair.sim.run();
+  pair.net.run();
 
   ASSERT_EQ(pair.b->arrivals.size(), 2u);
   EXPECT_TRUE(pair.a->arrivals.empty());
@@ -391,7 +388,7 @@ TEST(Injector, ExportMetricsPublishesPerKindAndPerLinkCounters) {
   for (u32 i = 0; i < 5; ++i) {
     pair.send_at(i * kMicrosecond, *pair.a, payload_for(i));
   }
-  pair.sim.run();
+  pair.net.run();
 
   telemetry::MetricsRegistry metrics;
   injector.export_metrics(metrics);
@@ -429,8 +426,7 @@ struct RingRun {
   std::array<u64, faults::kFaultKindCount> injected{};
 };
 
-template <typename Engine>
-RingRun run_ring(Engine& engine, Network& net, FaultInjector* injector) {
+RingRun run_ring(Network& net, FaultInjector* injector) {
   std::vector<std::shared_ptr<RelayNode>> nodes;
   for (u32 i = 0; i < 6; ++i) {
     nodes.push_back(std::make_shared<RelayNode>("n" + std::to_string(i)));
@@ -450,7 +446,7 @@ RingRun run_ring(Engine& engine, Network& net, FaultInjector* injector) {
   inject(0, 40, 256);
   inject(2, 35, 512);
   inject(4, 30, 128);
-  engine.run();
+  net.run();
 
   RingRun out;
   Digest d;
@@ -463,7 +459,7 @@ RingRun run_ring(Engine& engine, Network& net, FaultInjector* injector) {
     }
   }
   out.digest = d.h;
-  out.completed_at = engine.now();
+  out.completed_at = net.now();
   out.delivered = net.frames_delivered();
   if (injector != nullptr) {
     out.injected_total = injector->injected_total();
@@ -479,11 +475,10 @@ RingRun run_ring(Engine& engine, Network& net, FaultInjector* injector) {
 // counts, same merged telemetry snapshot.
 TEST(FaultDeterminism, FaultFreeInjectorIsByteIdentical) {
   auto run = [](FaultInjector* injector) {
-    ShardedSimulator ssim(2);
-    Network net(ssim);
-    RingRun out = run_ring(ssim, net, injector);
+    Network net(2);
+    RingRun out = run_ring(net, injector);
     telemetry::MetricsRegistry merged;
-    ssim.merge_metrics_into(merged);
+    net.merge_metrics_into(merged);
     std::ostringstream os;
     merged.snapshot_json(os);
     out.snapshot = os.str();
@@ -515,18 +510,16 @@ TEST(FaultDeterminism, FaultFreeInjectorIsByteIdentical) {
 TEST(FaultDeterminism, InjectionIdenticalAcrossEnginesAndShardCounts) {
   const FaultPlan plan = FaultPlan::uniform_loss(9, 0.2);
 
-  Simulator serial;
-  Network serial_net(serial);
+  Network serial_net(0);
   FaultInjector serial_injector(plan);
-  const RingRun reference = run_ring(serial, serial_net, &serial_injector);
+  const RingRun reference = run_ring(serial_net, &serial_injector);
   ASSERT_GT(reference.injected_total, 0u);
   ASSERT_GT(reference.delivered, 0u);
 
   for (u32 shards : {1u, 2u, 4u, 4u}) {  // 4 twice: repeated-run check
-    ShardedSimulator ssim(shards);
-    Network net(ssim);
+    Network net(shards);
     FaultInjector injector(plan, shards);
-    const RingRun run = run_ring(ssim, net, &injector);
+    const RingRun run = run_ring(net, &injector);
     EXPECT_EQ(run.digest, reference.digest) << shards << " shards";
     EXPECT_EQ(run.completed_at, reference.completed_at) << shards << " shards";
     EXPECT_EQ(run.delivered, reference.delivered) << shards << " shards";
@@ -728,7 +721,7 @@ class ChaosBed {
  public:
   explicit ChaosBed(u32 clients = 1,
                     alloc::Scheme scheme = alloc::Scheme::kWorstFit)
-      : net_(sim_) {
+      : net_(0) {
     controller::SwitchNode::Config cfg;
     cfg.scheme = scheme;
     cfg.costs.table_entry_update = 100 * kMicrosecond;
@@ -759,9 +752,8 @@ class ChaosBed {
     net_.set_transmit_hook(injector_.get());
   }
 
-  void run_for(SimTime duration) { sim_.run_until(sim_.now() + duration); }
+  void run_for(SimTime duration) { net_.run_until(net_.now() + duration); }
 
-  Simulator sim_;
   Network net_;
   std::unique_ptr<FaultInjector> injector_;
   std::shared_ptr<controller::SwitchNode> switch_;
@@ -869,7 +861,7 @@ TEST(Recovery, DisturbedClientTotalLossForcesFinalize) {
   LinkFaults cut;
   cut.node_a = "client0";
   cut.node_b = "switch";
-  cut.from = bed.sim_.now();
+  cut.from = bed.net_.now();
   cut.drop = 1.0;
   plan.link_faults.push_back(cut);
   bed.inject(plan);
@@ -920,7 +912,7 @@ TEST(Recovery, ExtractCompleteRetransmitsUntilDeadlineThenRecovers) {
   bed.run_for(2 * kSecond);
   ASSERT_TRUE(first->operational());
 
-  OneWayDrop cut("client0", "switch", bed.sim_.now());
+  OneWayDrop cut("client0", "switch", bed.net_.now());
   bed.net_.set_transmit_hook(&cut);
 
   auto second = std::make_shared<apps::CacheService>("second", kServerMac);
@@ -964,16 +956,17 @@ TEST(Recovery, BrownoutWipesRegistersAndClientRepopulates) {
   hits.clear();
 
   // Power-cycle the switch for 50 ms; SRAM does not survive.
-  const SimTime down = bed.sim_.now() + kMillisecond;
+  const SimTime down = bed.net_.now() + kMillisecond;
   FaultPlan plan;
   plan.brownouts.push_back(
       Brownout{.node = "switch", .at = down, .duration = 50 * kMillisecond});
   bed.inject(plan);
-  bed.sim_.schedule_at(plan.brownouts[0].up_at(),
+  bed.net_.schedule_on(*bed.switch_, plan.brownouts[0].up_at(),
                        [&] { bed.switch_->wipe_registers(); });
   // A request issued mid-outage is simply lost (no cache-level retry for
   // reads): it must neither hit nor miss.
-  bed.sim_.schedule_at(down + 10 * kMillisecond, [&] { cache->get(0x77); });
+  bed.net_.schedule_on(*bed.clients_[0], down + 10 * kMillisecond,
+                       [&] { cache->get(0x77); });
   bed.run_for(kSecond);
   EXPECT_GT(bed.injector_->injected(FaultKind::kOutage), 0u);
   EXPECT_TRUE(hits.empty());

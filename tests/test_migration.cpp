@@ -24,7 +24,7 @@
 #include "controller/switch_node.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
+#include "netsim/network.hpp"
 #include "telemetry/heatmap.hpp"
 #include "workload/zipf.hpp"
 
@@ -625,8 +625,7 @@ struct MigScenarioOut {
 // repopulates through the extraction datapath while its traffic keeps
 // flowing. Drivable at any shard count, with an optional fault plan.
 MigScenarioOut run_mig_scenario(u32 shards, const faults::FaultPlan* plan) {
-  netsim::ShardedSimulator ssim(shards);
-  netsim::Network net(ssim);
+  netsim::Network net(shards);
   std::unique_ptr<faults::FaultInjector> injector;
   if (plan != nullptr) {
     injector = std::make_unique<faults::FaultInjector>(*plan, shards);
@@ -639,12 +638,12 @@ MigScenarioOut run_mig_scenario(u32 shards, const faults::FaultPlan* plan) {
   cfg.costs.clear_per_block = 1 * kMicrosecond;
   cfg.costs.extraction_timeout = 200 * kMillisecond;
   cfg.compute_model = alloc::ComputeModel::deterministic();
-  cfg.metrics = &ssim.shard_metrics(0);
+  cfg.metrics = &net.metrics(0);
   cfg.migration.enabled = true;
   cfg.migration.interval = 50 * kMillisecond;
   auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
   net.attach(sw);
-  ssim.pin(*sw, 0);
+  net.pin(*sw, 0);
   auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
   net.attach(server);
   net.connect(*sw, 0, *server, 0);
@@ -737,17 +736,17 @@ MigScenarioOut run_mig_scenario(u32 shards, const faults::FaultPlan* plan) {
       t.stop_time = i == 1 ? kPause : kStop;
       t.drive();
     };
-    ssim.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
-                     [&t] { t.cache->request_allocation(); });
+    net.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
+                    [&t] { t.cache->request_allocation(); });
     if (i == 1) {
-      ssim.schedule_on(*t.client, kResume, [&t] {
+      net.schedule_on(*t.client, kResume, [&t] {
         t.stop_time = kStop;
         t.drive();
       });
     }
   }
 
-  ssim.run_until(kStop + kSecond);
+  net.run_until(kStop + kSecond);
 
   MigScenarioOut out;
   out.reg_digest = register_digest(sw->pipeline());
@@ -758,10 +757,10 @@ MigScenarioOut run_mig_scenario(u32 shards, const faults::FaultPlan* plan) {
     out.bad_values += t->bad_values;
   }
   out.reply_digest = combined.h;
-  out.completed_at = ssim.now();
+  out.completed_at = net.now();
   out.engine = sw->migration_stats();
   telemetry::MetricsRegistry merged;
-  ssim.merge_metrics_into(merged);
+  net.merge_metrics_into(merged);
   std::ostringstream os;
   merged.snapshot_json(os);
   out.snapshot = os.str();

@@ -174,8 +174,7 @@ class Recorder : public Node {
 };
 
 TEST(Network, DeliversWithLatencyAndSerialization) {
-  Simulator sim;
-  Network net(sim);
+  Network net(0);
   auto a = std::make_shared<Recorder>("a");
   auto b = std::make_shared<Recorder>("b");
   net.attach(a);
@@ -186,40 +185,37 @@ TEST(Network, DeliversWithLatencyAndSerialization) {
   net.connect(*a, 0, *b, 0, spec);
 
   net.transmit(*a, 0, Frame(100, 0x55));
-  sim.run();
+  net.run();
   ASSERT_EQ(b->frames.size(), 1u);
   EXPECT_EQ(b->frames[0].at, 1000 + 100);  // latency + serialization
   EXPECT_EQ(b->frames[0].frame.size(), 100u);
 }
 
 TEST(Network, Bidirectional) {
-  Simulator sim;
-  Network net(sim);
+  Network net(0);
   auto a = std::make_shared<Recorder>("a");
   auto b = std::make_shared<Recorder>("b");
   net.attach(a);
   net.attach(b);
   net.connect(*a, 0, *b, 3);
   net.transmit(*b, 3, Frame(10));
-  sim.run();
+  net.run();
   ASSERT_EQ(a->frames.size(), 1u);
   EXPECT_EQ(a->frames[0].port, 0u);
 }
 
 TEST(Network, UnpluggedPortDropsSilently) {
-  Simulator sim;
-  Network net(sim);
+  Network net(0);
   auto a = std::make_shared<Recorder>("a");
   net.attach(a);
   net.transmit(*a, 9, Frame(10));
-  sim.run();
+  net.run();
   EXPECT_EQ(net.frames_delivered(), 0u);
   EXPECT_EQ(net.frames_dropped(), 1u);
 }
 
 TEST(Network, CountsDropsPerUnpluggedTransmit) {
-  Simulator sim;
-  Network net(sim);
+  Network net(0);
   auto a = std::make_shared<Recorder>("a");
   auto b = std::make_shared<Recorder>("b");
   net.attach(a);
@@ -228,7 +224,7 @@ TEST(Network, CountsDropsPerUnpluggedTransmit) {
   net.transmit(*a, 0, Frame(10));  // delivered
   net.transmit(*a, 1, Frame(10));  // no link on port 1
   net.transmit(*b, 7, Frame(10));  // no link on port 7
-  sim.run();
+  net.run();
   EXPECT_EQ(net.frames_delivered(), 1u);
   EXPECT_EQ(net.frames_dropped(), 2u);
 }
@@ -236,8 +232,7 @@ TEST(Network, CountsDropsPerUnpluggedTransmit) {
 TEST(Network, PooledFramesRoundTrip) {
   // A frame acquired from the network's pool survives transit and its
   // slab is recycled once the receiver lets go of it.
-  Simulator sim;
-  Network net(sim);
+  Network net(0);
   auto a = std::make_shared<Recorder>("a");
   auto b = std::make_shared<Recorder>("b");
   net.attach(a);
@@ -245,7 +240,7 @@ TEST(Network, PooledFramesRoundTrip) {
   net.connect(*a, 0, *b, 0);
   Frame frame = net.pool().copy(std::vector<u8>{1, 2, 3, 4});
   net.transmit(*a, 0, std::move(frame));
-  sim.run();
+  net.run();
   ASSERT_EQ(b->frames.size(), 1u);
   EXPECT_EQ(b->frames[0].frame.to_vector(), (std::vector<u8>{1, 2, 3, 4}));
   EXPECT_TRUE(b->frames[0].frame.pooled());
@@ -254,8 +249,7 @@ TEST(Network, PooledFramesRoundTrip) {
 }
 
 TEST(Network, DoubleConnectThrows) {
-  Simulator sim;
-  Network net(sim);
+  Network net(0);
   auto a = std::make_shared<Recorder>("a");
   auto b = std::make_shared<Recorder>("b");
   auto c = std::make_shared<Recorder>("c");
@@ -267,16 +261,14 @@ TEST(Network, DoubleConnectThrows) {
 }
 
 TEST(Network, DoubleAttachThrows) {
-  Simulator sim;
-  Network net(sim);
+  Network net(0);
   auto a = std::make_shared<Recorder>("a");
   net.attach(a);
   EXPECT_THROW(net.attach(a), UsageError);
 }
 
 TEST(Network, CountsDeliveries) {
-  Simulator sim;
-  Network net(sim);
+  Network net(0);
   auto a = std::make_shared<Recorder>("a");
   auto b = std::make_shared<Recorder>("b");
   net.attach(a);
@@ -284,7 +276,7 @@ TEST(Network, CountsDeliveries) {
   net.connect(*a, 0, *b, 0);
   net.transmit(*a, 0, Frame(64));
   net.transmit(*a, 0, Frame(64));
-  sim.run();
+  net.run();
   EXPECT_EQ(net.frames_delivered(), 2u);
   EXPECT_EQ(net.bytes_delivered(), 128u);
 }

@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "controller/switch_node.hpp"
 #include "netsim/sharded.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 #include "workload/zipf.hpp"
 
 namespace artmt {
@@ -149,38 +151,97 @@ TEST(Sharded, ZeroShardsThrows) {
   EXPECT_THROW(ShardedSimulator{0}, UsageError);
 }
 
-TEST(Sharded, QuiescentInjectionMatchesSerialTiming) {
-  // Serial reference: one transmit from quiescence.
-  Simulator sim;
-  Network snet(sim);
+// Driven only through Network, the serial engine and shards 1/2 agree on
+// arrivals, delivery counts and clock: a transmit from quiescence, a send
+// scheduled onto the sender's shard, and a run_until slice in between.
+struct DriveRun {
+  SimTime sliced_now = 0;
+  u64 sliced_delivered = 0;
+  std::vector<SimTime> arrivals;
+  u64 delivered = 0;
+  SimTime now = 0;
+  bool operator==(const DriveRun&) const = default;
+};
+
+DriveRun drive_two_sends(u32 engine_shards) {
+  Network net(engine_shards);
   auto a = std::make_shared<RelayNode>("a", 0);
   auto b = std::make_shared<RelayNode>("b", 0);
-  snet.attach(a);
-  snet.attach(b);
-  snet.connect(*a, 0, *b, 1);
-  netsim::Frame f = snet.pool().acquire(256);
-  f[0] = 0;
-  snet.transmit(*a, 0, std::move(f));
-  sim.run();
-  ASSERT_EQ(b->log.size(), 1u);
-  const SimTime serial_arrival = std::get<0>(b->log[0]);
+  net.attach(a);
+  net.attach(b);
+  net.connect(*a, 0, *b, 1);
+  net.pin(*a, 0);
+  net.pin(*b, net.shards() - 1);  // across the boundary when sharded
+  const auto send = [&net, &a](std::size_t size) {
+    netsim::Frame f = net.pool().acquire(size);
+    f[0] = 0;
+    net.transmit(*a, 0, std::move(f));
+  };
+  send(256);
+  net.schedule_on(*a, 10 * kMicrosecond, [&send] { send(128); });
+  DriveRun out;
+  net.run_until(5 * kMicrosecond);
+  out.sliced_now = net.now();
+  out.sliced_delivered = net.frames_delivered();
+  net.run();
+  for (const auto& entry : b->log) out.arrivals.push_back(std::get<0>(entry));
+  out.delivered = net.frames_delivered();
+  out.now = net.now();
+  return out;
+}
 
+TEST(Sharded, QuiescentInjectionMatchesSerialTiming) {
+  const DriveRun serial = drive_two_sends(0);
+  ASSERT_EQ(serial.arrivals.size(), 2u);
+  EXPECT_GT(serial.arrivals[1], 10 * kMicrosecond);
+  EXPECT_EQ(serial.sliced_now, 5 * kMicrosecond);
+  EXPECT_EQ(serial.sliced_delivered, 1u);
+  EXPECT_EQ(serial.delivered, 2u);
+  EXPECT_EQ(serial.now, serial.arrivals[1]);
   for (u32 shards : {1u, 2u}) {
-    ShardedSimulator ssim(shards);
-    Network net(ssim);
-    auto sa = std::make_shared<RelayNode>("a", 0);
-    auto sb = std::make_shared<RelayNode>("b", 0);
-    net.attach(sa);
-    net.attach(sb);
-    net.connect(*sa, 0, *sb, 1);
-    netsim::Frame g = net.pool().acquire(256);
-    g[0] = 0;
-    net.transmit(*sa, 0, std::move(g));
-    ssim.run();
-    ASSERT_EQ(sb->log.size(), 1u) << shards << " shards";
-    EXPECT_EQ(std::get<0>(sb->log[0]), serial_arrival) << shards << " shards";
-    EXPECT_EQ(net.frames_delivered(), 1u);
-    EXPECT_EQ(ssim.now(), serial_arrival);
+    EXPECT_EQ(drive_two_sends(shards), serial) << shards << " shards";
+  }
+
+  // The serial engine is one shard: pinning elsewhere is a usage error.
+  Network net(0);
+  EXPECT_EQ(net.shards(), 1u);
+  auto node = std::make_shared<RelayNode>("n", 0);
+  net.attach(node);
+  EXPECT_THROW(net.pin(*node, 1), UsageError);
+}
+
+// The unplugged-port contract on either engine: a frame sent out a port
+// with no cable counts once, in frames_dropped() and netsim.frames_dropped.
+// Only the serial engine emits the frame_dropped trace event (the sink is
+// process-global, so shard workers never write it).
+TEST(Sharded, UnpluggedPortDropContract) {
+  for (u32 shards : {0u, 1u, 2u}) {
+    std::ostringstream trace;
+    telemetry::TraceSink sink(trace);
+    telemetry::set_trace_sink(&sink);
+    Network net(shards);
+    auto a = std::make_shared<RelayNode>("a", 0);
+    auto b = std::make_shared<RelayNode>("b", 5);  // port 5 has no cable
+    net.attach(a);
+    net.attach(b);
+    net.connect(*a, 0, *b, 1);
+    net.pin(*b, net.shards() - 1);  // the drop happens on a worker
+    netsim::Frame f = net.pool().acquire(64);
+    f[0] = 1;
+    net.transmit(*a, 0, std::move(f));
+    net.run();
+    telemetry::set_trace_sink(nullptr);
+
+    telemetry::MetricsRegistry merged;
+    net.merge_metrics_into(merged);
+    EXPECT_EQ(net.frames_dropped(), 1u) << shards << " shards";
+    EXPECT_EQ(merged.counter_value("netsim", "frames_dropped"), 1u)
+        << shards << " shards";
+    EXPECT_EQ(net.frames_delivered(), 1u) << shards << " shards";
+    const bool serial = net.sharded() == nullptr;
+    EXPECT_EQ(sink.emitted(), serial ? 1u : 0u) << shards << " shards";
+    EXPECT_EQ(trace.str().find("\"frame_dropped\"") != std::string::npos,
+              serial);
   }
 }
 
@@ -436,19 +497,17 @@ TEST(Sharded, PinAfterFirstRunThrows) {
 }
 
 TEST(Sharded, ZeroLatencyLinkThrows) {
-  ShardedSimulator ssim(2);
-  Network net(ssim);
+  Network net(2);
   auto a = std::make_shared<RelayNode>("a", 0);
   auto b = std::make_shared<RelayNode>("b", 0);
   net.attach(a);
   net.attach(b);
   net.connect(*a, 0, *b, 1, LinkSpec{.latency = 0, .gbps = 40.0});
-  EXPECT_THROW(ssim.run(), UsageError);
+  EXPECT_THROW(net.run(), UsageError);
 }
 
 TEST(Sharded, SetMetricsThrowsInShardedMode) {
-  ShardedSimulator ssim(2);
-  Network net(ssim);
+  Network net(2);
   telemetry::MetricsRegistry reg;
   EXPECT_THROW(net.set_metrics(&reg), UsageError);
 }
@@ -466,7 +525,7 @@ TEST(Sharded, MergedTelemetryMatchesNetworkCounters) {
   ssim.run();
 
   telemetry::MetricsRegistry merged;
-  ssim.merge_metrics_into(merged);
+  ring.net.merge_metrics_into(merged);
   EXPECT_EQ(merged.counter_value("netsim", "frames_delivered"),
             ring.net.frames_delivered());
   EXPECT_EQ(merged.counter_value("netsim", "bytes_delivered"),
@@ -501,10 +560,9 @@ struct ScenarioResult {
 };
 
 // The artmt_stats scenario (in-network cache + heavy-hitter monitor on
-// one switch) shrunk to test size, drivable at any shard count.
+// one switch) shrunk to test size, drivable on either engine.
 ScenarioResult run_scenario(u32 shards, u32 requests) {
-  ShardedSimulator ssim(shards);
-  Network net(ssim);
+  Network net(shards);
 
   controller::SwitchNode::Config cfg;
   cfg.costs.table_entry_update = 100 * kMicrosecond;
@@ -515,7 +573,7 @@ ScenarioResult run_scenario(u32 shards, u32 requests) {
   // snapshot) host-load dependent; the determinism assertions need the
   // modeled form.
   cfg.compute_model = alloc::ComputeModel::deterministic();
-  cfg.metrics = &ssim.shard_metrics(0);  // the switch lives on shard 0
+  cfg.metrics = &net.metrics(0);  // the switch lives on shard 0
   auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
   auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
   auto client = std::make_shared<client::ClientNode>("client", kClientMac,
@@ -523,7 +581,7 @@ ScenarioResult run_scenario(u32 shards, u32 requests) {
   net.attach(sw);
   net.attach(server);
   net.attach(client);
-  ssim.pin(*sw, 0);
+  net.pin(*sw, 0);
   net.connect(*sw, 0, *server, 0);
   net.connect(*sw, 1, *client, 0);
   sw->bind(kServerMac, 0);
@@ -559,12 +617,12 @@ ScenarioResult run_scenario(u32 shards, u32 requests) {
   client->register_service(monitor);
 
   // Self-rescheduling drivers: after the kick-off they always run on the
-  // client's shard, so ssim.schedule_after routes to that shard's queue.
+  // client's shard, so net.simulator() resolves to that shard's queue.
   std::function<void(u32)> get_next = [&](u32 remaining) {
     if (remaining == 0) return;
     cache->get(key_of(zipf.next_rank(rng)));
-    ssim.schedule_after(100 * 1000,
-                        [&get_next, remaining] { get_next(remaining - 1); });
+    net.simulator().schedule_after(
+        100 * 1000, [&get_next, remaining] { get_next(remaining - 1); });
   };
   std::function<void(u32)> observe_next = [&](u32 remaining) {
     if (remaining == 0) {
@@ -583,7 +641,7 @@ ScenarioResult run_scenario(u32 shards, u32 requests) {
       return;
     }
     monitor->observe(key_of(zipf.next_rank(rng)));
-    ssim.schedule_after(
+    net.simulator().schedule_after(
         50 * 1000, [&observe_next, remaining] { observe_next(remaining - 1); });
   };
 
@@ -595,16 +653,16 @@ ScenarioResult run_scenario(u32 shards, u32 requests) {
   monitor->on_ready = [&] { observe_next(requests); };
 
   cache->request_allocation();
-  ssim.schedule_on(*client, kSecond, [&] { monitor->request_allocation(); });
+  net.schedule_on(*client, kSecond, [&] { monitor->request_allocation(); });
 
-  ssim.run();
+  net.run();
 
   ScenarioResult out;
   out.reply_digest = replies.h;
-  out.completed_at = ssim.now();
-  out.shape = epoch_shape(ssim);
+  out.completed_at = net.now();
+  if (net.sharded() != nullptr) out.shape = epoch_shape(*net.sharded());
   telemetry::MetricsRegistry merged;
-  ssim.merge_metrics_into(merged);
+  net.merge_metrics_into(merged);
   std::ostringstream os;
   merged.snapshot_json(os);
   out.snapshot = os.str();
@@ -619,6 +677,11 @@ TEST(ShardedE2E, CacheAndHeavyHitterDeterministicAcrossShardCounts) {
   // Sanity: the scenario really exercised the datapath.
   ASSERT_NE(one.snapshot.find("\"netsim.frames_delivered\""),
             std::string::npos);
+  // The serial engine is the one-shard reference.
+  const ScenarioResult serial = run_scenario(0, kRequests);
+  EXPECT_EQ(serial.snapshot, one.snapshot);
+  EXPECT_EQ(serial.reply_digest, one.reply_digest);
+  EXPECT_EQ(serial.completed_at, one.completed_at);
 
   // Golden epoch partitions: a scheduler change must not shift them.
   const EpochShape two{809, {{809, 1443, 1446}, {809, 1446, 1443}},

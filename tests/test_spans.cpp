@@ -20,7 +20,7 @@
 #include "apps/programs.hpp"
 #include "controller/switch_node.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
+#include "netsim/network.hpp"
 #include "packet/active_packet.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/heatmap.hpp"
@@ -107,25 +107,13 @@ struct SpanRun {
 // `wipe_after` models a brownout up-edge once the run is quiescent.
 SpanRun run_scenario(u32 shards, const faults::FaultPlan* plan,
                      bool wipe_after = false) {
-  telemetry::SpanSink sink(shards > 0 ? shards : 1);
+  Network net(shards);
+  telemetry::SpanSink sink(net.shards());
   telemetry::set_span_sink(&sink);
-
-  std::unique_ptr<netsim::Simulator> sim;
-  std::unique_ptr<netsim::ShardedSimulator> ssim;
-  std::unique_ptr<Network> net_holder;
-  if (shards > 0) {
-    ssim = std::make_unique<netsim::ShardedSimulator>(shards);
-    net_holder = std::make_unique<Network>(*ssim);
-  } else {
-    sim = std::make_unique<netsim::Simulator>();
-    net_holder = std::make_unique<Network>(*sim);
-  }
-  Network& net = *net_holder;
 
   std::unique_ptr<faults::FaultInjector> injector;
   if (plan != nullptr) {
-    injector = std::make_unique<faults::FaultInjector>(
-        *plan, shards > 0 ? shards : 1);
+    injector = std::make_unique<faults::FaultInjector>(*plan, net.shards());
     net.set_transmit_hook(injector.get());
   }
 
@@ -149,14 +137,9 @@ SpanRun run_scenario(u32 shards, const faults::FaultPlan* plan,
 
   const std::vector<std::vector<u8>> wires = make_wires();
   WaveInjector inj{&net, client.get(), &wires, kWaves};
-  if (ssim) {
-    ssim->pin(*sw, 0);
-    ssim->schedule_on(*client, ssim->now(), inj);
-    ssim->run();
-  } else {
-    sim->schedule_at(0, inj);
-    sim->run();
-  }
+  net.pin(*sw, 0);
+  net.schedule_on(*client, net.now(), inj);
+  net.run();
 
   if (wipe_after) sw->wipe_registers();
   telemetry::set_span_sink(nullptr);

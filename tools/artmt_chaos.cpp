@@ -168,22 +168,9 @@ faults::FaultPlan chaos_plan(const ChaosConfig& config, SimTime window_start,
 RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
                        const ChaosConfig& config,
                        telemetry::TraceSink* sink) {
-  std::unique_ptr<netsim::Simulator> sim;
-  std::unique_ptr<netsim::ShardedSimulator> ssim;
-  std::unique_ptr<netsim::Network> net_holder;
-  telemetry::MetricsRegistry serial_registry;
-  if (shards > 0) {
-    ssim = std::make_unique<netsim::ShardedSimulator>(shards);
-    net_holder = std::make_unique<netsim::Network>(*ssim);
-  } else {
-    sim = std::make_unique<netsim::Simulator>();
-    net_holder = std::make_unique<netsim::Network>(*sim);
-    sim->set_metrics(&serial_registry);
-    net_holder->set_metrics(&serial_registry);
-  }
-  netsim::Network& net = *net_holder;
+  netsim::Network net(shards);
   if (sink != nullptr) {
-    sink->set_clock([&net] { return net.simulator().now(); });
+    sink->set_clock([&net] { return net.now(); });
     telemetry::set_trace_sink(sink);
   }
 
@@ -216,7 +203,7 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
     topo = std::make_unique<fabric::Topology>(net, tcfg);
     control_target = topo->controller_mac();
   } else {
-    cfg.metrics = ssim ? &ssim->shard_metrics(0) : &serial_registry;
+    cfg.metrics = &net.metrics(0);
     sw = std::make_shared<controller::SwitchNode>("switch", cfg);
     net.attach(sw);
   }
@@ -240,7 +227,6 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
     topo->attach_host(*server, 0, 1, kServerMac);      // leaf1 port 1
     topo->attach_host(*backend1, 1, 1, kBackend1Mac);  // leaf1 port 2
     topo->attach_host(*backend2, 1, 1, kBackend2Mac);  // leaf1 port 3
-    if (ssim) topo->pin(*ssim);
   } else {
     net.connect(*sw, 0, *server, 0);
     net.connect(*sw, 8, *backend1, 0);
@@ -250,24 +236,19 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
     sw->bind(kBackend1Mac, 8);
     sw->bind(kBackend2Mac, 9);
     sw->bind(kClientMac, 1);
-    if (ssim) ssim->pin(*sw, 0);
+    net.pin(*sw, 0);
   }
 
   std::unique_ptr<faults::FaultInjector> injector;
   if (plan != nullptr) {
-    injector = std::make_unique<faults::FaultInjector>(
-        *plan, std::max<u32>(shards, 1));
+    injector = std::make_unique<faults::FaultInjector>(*plan, net.shards());
     net.set_transmit_hook(injector.get());
     // The up-edge of a brownout is a power cycle: SRAM is gone. Table and
     // allocator state live on the controller and persist.
     controller::SwitchNode* wiped = topo ? &topo->leaf(0) : sw.get();
     for (const faults::Brownout& brownout : plan->brownouts) {
-      if (ssim) {
-        ssim->schedule_on(*wiped, brownout.up_at(),
-                          [wiped] { wiped->wipe_registers(); });
-      } else {
-        sim->schedule_at(brownout.up_at(), [wiped] { wiped->wipe_registers(); });
-      }
+      net.schedule_on(*wiped, brownout.up_at(),
+                      [wiped] { wiped->wipe_registers(); });
     }
   }
 
@@ -389,36 +370,18 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
   cache->request_allocation();
   // Fabric mode: run the controller's health epochs across the fault
   // window and the recovery tail, then let the event queue drain.
-  if (topo) {
-    const SimTime probe_until = recovery_at + 500 * kMillisecond;
-    if (ssim) {
-      topo->start(*ssim, 1 * kMillisecond, probe_until);
-    } else {
-      topo->start(*sim, 1 * kMillisecond, probe_until);
-    }
-  }
-  auto start_all = [&] {
-    if (ssim) {
-      ssim->schedule_on(*client, 50 * kMillisecond,
-                        [&] { monitor->request_allocation(); });
-      ssim->schedule_on(*client, 100 * kMillisecond,
-                        [&] { lb->request_allocation(); });
-      ssim->schedule_on(*client, workload_start, kickoff);
-      ssim->schedule_on(*client, recovery_at, recover);
-      ssim->run();
-    } else {
-      sim->schedule_at(50 * kMillisecond, [&] { monitor->request_allocation(); });
-      sim->schedule_at(100 * kMillisecond, [&] { lb->request_allocation(); });
-      sim->schedule_at(workload_start, kickoff);
-      sim->schedule_at(recovery_at, recover);
-      sim->run();
-    }
-  };
-  start_all();
+  if (topo) topo->start(1 * kMillisecond, recovery_at + 500 * kMillisecond);
+  net.schedule_on(*client, 50 * kMillisecond,
+                  [&] { monitor->request_allocation(); });
+  net.schedule_on(*client, 100 * kMillisecond,
+                  [&] { lb->request_allocation(); });
+  net.schedule_on(*client, workload_start, kickoff);
+  net.schedule_on(*client, recovery_at, recover);
+  net.run();
 
   // --- digest the converged, reliability-protected state ---
   RunResult out;
-  out.end_time = ssim ? ssim->now() : sim->now();
+  out.end_time = net.now();
   out.converged = cache_populated && lb_configured && extraction_done &&
                   lb->cookies().size() >= kFlows &&
                   cache->populate_reliability().outstanding() == 0;
@@ -463,19 +426,18 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
   out.digest = digest.h;
 
   // --- merge telemetry: engine + faults.* + reliability.* ---
-  telemetry::MetricsRegistry merged;
-  if (ssim) {
-    ssim->merge_metrics_into(merged);
-    ssim->export_shard_stats(merged);
+  telemetry::MetricsRegistry registry;
+  net.merge_metrics_into(registry);
+  if (const netsim::ShardedSimulator* ssim = net.sharded()) {
+    ssim->export_shard_stats(registry);
   }
   if (injector) {
-    injector->export_metrics(ssim ? merged : serial_registry);
+    injector->export_metrics(registry);
     out.injected_total = injector->injected_total();
     for (u32 k = 0; k < faults::kFaultKindCount; ++k) {
       out.injected[k] = injector->injected(static_cast<faults::FaultKind>(k));
     }
   }
-  telemetry::MetricsRegistry& registry = ssim ? merged : serial_registry;
   const std::pair<const client::ReliabilityTracker*, i32> trackers[] = {
       {&cache->populate_reliability(), static_cast<i32>(cache->fid())},
       {&monitor->extract_reliability(), static_cast<i32>(monitor->fid())},
@@ -575,10 +537,8 @@ int main(int argc, char** argv) {
   // inside wipe_registers; mismatches and gate failures dump from here.
   std::unique_ptr<telemetry::FlightRecorder> recorder;
   if (flight_dir != nullptr) {
-    u32 lanes = 1;
-    for (const u32 shards : shard_counts) {
-      lanes = std::max(lanes, std::max<u32>(shards, 1));
-    }
+    u32 lanes = 1;  // the serial engine (0) is one lane
+    for (const u32 shards : shard_counts) lanes = std::max(lanes, shards);
     recorder = std::make_unique<telemetry::FlightRecorder>(4096, lanes);
     recorder->set_dump_dir(flight_dir);
     telemetry::set_flight_recorder(recorder.get());

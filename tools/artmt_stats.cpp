@@ -1,8 +1,8 @@
 // artmt_stats -- run the end-to-end testbed scenario (an in-network cache
 // plus a heavy-hitter monitor sharing one switch) with every component
-// wired into the process-wide telemetry registry, then dump the metrics
-// snapshot as JSON: per-FID packet counters, admission/rejection totals,
-// cache hit ratios, latency histograms -- the paper's evaluation
+// wired into its engine shard's telemetry registry, then dump the merged
+// metrics snapshot as JSON: per-FID packet counters, admission/rejection
+// totals, cache hit ratios, latency histograms -- the paper's evaluation
 // quantities without recompiling a single printf.
 //
 // Usage:
@@ -13,11 +13,13 @@
 //                    timestamps) for every control-plane/netsim event
 //     --shards N     run on the sharded multi-worker engine with N
 //                    shards (switch pinned to shard 0, fleets spread
-//                    over the rest). Uses the modeled allocator compute
-//                    cost, so the snapshot is byte-identical for any N
-//                    and across repeated runs. Incompatible with
-//                    --trace: the trace sink is process-global and
-//                    worker threads would interleave its lines.
+//                    over the rest). Both engines use the modeled
+//                    allocator compute cost, so the snapshot is
+//                    byte-identical across repeated runs, and for any N
+//                    and the serial engine apart from the sharding.*
+//                    lines. Incompatible with --trace: the trace sink is
+//                    process-global and worker threads would interleave
+//                    its lines.
 //     --loss P       attach a FaultInjector with uniform loss P on every
 //                    link; faults.* counters land in the snapshot and
 //                    the reliability.* retransmit schedules absorb the
@@ -223,9 +225,8 @@ double downtime_percentile_ms(std::vector<SimTime> samples, double p) {
 // epochs declare it dead and the evacuation/re-placement machinery runs
 // inside the dump window. Deterministic for any shard count.
 int run_fabric_report(u32 shards) {
-  const u32 workers = std::max<u32>(shards, 1);
-  netsim::ShardedSimulator ssim(workers);
-  netsim::Network net(ssim);
+  netsim::Network net(std::max(shards, 1u));  // always the sharded engine
+  const u32 workers = net.shards();
 
   faults::FaultPlan plan;
   plan.flaps.push_back({"leaf0", "", 500 * kMillisecond, 10 * kSecond});
@@ -244,14 +245,13 @@ int run_fabric_report(u32 shards) {
   tcfg.controller.epoch = 2 * kMillisecond;
   tcfg.controller.metrics = &fabric_registry;
   fabric::Topology topo(net, tcfg);
-  topo.pin(ssim);
 
   constexpr packet::MacAddr kFabServerMac = 0x5E00;
   constexpr packet::MacAddr kFabClientBase = 0xC100;
   auto server = std::make_shared<apps::ServerNode>("server", kFabServerMac);
   net.attach(server);
   topo.attach_host(*server, 0, 2, kFabServerMac);
-  ssim.pin(*server, 2 % workers);
+  net.pin(*server, 2 % workers);
 
   // Tenant 0 lands on the doomed leaf0 (round-robin admission places
   // service i on leaf i), so its service is the evacuation victim.
@@ -282,7 +282,7 @@ int run_fabric_report(u32 shards) {
         topo.controller_mac());
     net.attach(t->client);
     topo.attach_host(*t->client, 0, client_leaf[i], kFabClientBase + i);
-    ssim.pin(*t->client, client_leaf[i] % workers);
+    net.pin(*t->client, client_leaf[i] % workers);
     t->cache = std::make_shared<apps::CacheService>(
         "cache" + std::to_string(i), kFabServerMac);
     t->client->register_service(t->cache);
@@ -321,12 +321,12 @@ int run_fabric_report(u32 shards) {
       t.stop_time = drive_stop;
       t.drive();
     };
-    ssim.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
-                     [&t] { t.cache->request_allocation(); });
+    net.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
+                    [&t] { t.cache->request_allocation(); });
   }
 
-  topo.start(ssim, 1 * kMillisecond, kStop);
-  ssim.run_until(kStop + 500 * kMillisecond);
+  topo.start(1 * kMillisecond, kStop);
+  net.run_until(kStop + 500 * kMillisecond);
 
   const fabric::FabricReport report = topo.controller().report();
   const auto leaf_of = [&](packet::MacAddr mac) -> std::string {
@@ -349,7 +349,7 @@ int run_fabric_report(u32 shards) {
   std::fprintf(stderr,
                "fabric scenario done at t=%.3fs (%u leaves, %u spines, "
                "%u tenants, leaf0 killed at 0.5s)\n",
-               ssim.now() / 1e9, topo.leaves(), topo.spines(), n);
+               net.now() / 1e9, topo.leaves(), topo.spines(), n);
   for (u32 i = 0; i < n; ++i) {
     const Tenant& t = *tenants[i];
     std::fprintf(stderr,
@@ -469,34 +469,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::unique_ptr<netsim::Simulator> sim;
-  std::unique_ptr<netsim::ShardedSimulator> ssim;
-  std::unique_ptr<netsim::Network> net_holder;
-  if (shards > 0) {
-    ssim = std::make_unique<netsim::ShardedSimulator>(shards);
-    net_holder = std::make_unique<netsim::Network>(*ssim);
-  } else {
-    sim = std::make_unique<netsim::Simulator>();
-    net_holder = std::make_unique<netsim::Network>(*sim);
-  }
-  netsim::Network& net = *net_holder;
+  // Each shard owns a registry (the serial engine is one shard); they
+  // are merged -- plus any per-shard engine stats -- after the run.
+  netsim::Network net(shards);
 
-  // Serial mode: everything records into the process-wide registry and
-  // the snapshot at the end is the union of every component's counters.
-  // Sharded mode: each shard owns a registry (wired up by the engine);
-  // they are merged -- plus the per-shard engine stats -- after the run.
-  telemetry::MetricsRegistry& registry = telemetry::registry();
-  if (sim) {
-    sim->set_metrics(&registry);
-    net.set_metrics(&registry);
-  }
-
-  // Span capture: one lane per shard worker (lane 0 for the serial
-  // engine); the canonical sorted dump is engine- and shard-invariant.
+  // Span capture: one lane per shard worker; the canonical sorted dump is
+  // engine- and shard-invariant.
   std::unique_ptr<telemetry::SpanSink> span_sink;
   if (span_dump_path != nullptr) {
-    span_sink =
-        std::make_unique<telemetry::SpanSink>(shards > 0 ? shards : 1);
+    span_sink = std::make_unique<telemetry::SpanSink>(net.shards());
     telemetry::set_span_sink(span_sink.get());
   }
 
@@ -509,21 +490,17 @@ int main(int argc, char** argv) {
       return 1;
     }
     sink = std::make_unique<telemetry::TraceSink>(trace_file);
-    sink->set_clock([&sim] { return sim->now(); });
+    sink->set_clock([&net] { return net.now(); });
     telemetry::set_trace_sink(sink.get());
   }
 
   controller::SwitchNode::Config cfg;
   if (migration_report) cfg.migration.enabled = true;
-  if (ssim) {
-    // The switch lives on shard 0; its components record there. Modeled
-    // compute makes the timeline -- and therefore the snapshot --
-    // reproducible for any shard count.
-    cfg.metrics = &ssim->shard_metrics(0);
-    cfg.compute_model = alloc::ComputeModel::deterministic();
-  } else {
-    cfg.metrics = &registry;
-  }
+  // The switch lives on shard 0; its components record there. Modeled
+  // compute makes the timeline -- and therefore the snapshot --
+  // reproducible on either engine and for any shard count.
+  cfg.metrics = &net.metrics(0);
+  cfg.compute_model = alloc::ComputeModel::deterministic();
   auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
   auto server = std::make_shared<apps::ServerNode>("server", 0xbb);
   auto client = std::make_shared<client::ClientNode>("client", 0x100, 0xaa);
@@ -534,15 +511,14 @@ int main(int argc, char** argv) {
   net.connect(*sw, 1, *client, 0);
   sw->bind(0xbb, 0);
   sw->bind(0x100, 1);
-  if (ssim) ssim->pin(*sw, 0);  // fleets round-robin over shards 1..N-1
+  net.pin(*sw, 0);  // fleets round-robin over shards 1..N-1
 
   // Optional uniform loss: the reliability trackers ride through it and
   // the injected-fault counters join the snapshot.
   std::unique_ptr<faults::FaultInjector> injector;
   if (loss > 0.0) {
     injector = std::make_unique<faults::FaultInjector>(
-        faults::FaultPlan::uniform_loss(fault_seed, loss),
-        shards > 0 ? shards : 1);
+        faults::FaultPlan::uniform_loss(fault_seed, loss), net.shards());
     net.set_transmit_hook(injector.get());
   }
 
@@ -605,16 +581,11 @@ int main(int argc, char** argv) {
   monitor->on_ready = [&] { observe_next(requests); };
 
   cache->request_allocation();
-  // The monitor's kick-off touches the client node, so in sharded mode
-  // it must run on the client's shard.
-  if (ssim) {
-    ssim->schedule_on(*client, kSecond, [&] { monitor->request_allocation(); });
-    ssim->run();
-  } else {
-    sim->schedule_at(kSecond, [&] { monitor->request_allocation(); });
-    sim->run();
-  }
-  const SimTime end_time = ssim ? ssim->now() : sim->now();
+  // The monitor's kick-off touches the client node, so it runs on the
+  // client's shard.
+  net.schedule_on(*client, kSecond, [&] { monitor->request_allocation(); });
+  net.run();
+  const SimTime end_time = net.now();
 
   std::fprintf(stderr,
                "scenario done at t=%.3fs: cache %llu hits / %llu misses, "
@@ -622,9 +593,9 @@ int main(int argc, char** argv) {
                end_time / 1e9, static_cast<unsigned long long>(hits),
                static_cast<unsigned long long>(misses), heavy_hitters,
                static_cast<unsigned long long>(sw->runtime().stats().packets));
-  if (ssim) {
-    std::fprintf(stderr, "sharded engine: %u shards, %llu epochs\n", shards,
-                 static_cast<unsigned long long>(ssim->epochs()));
+  if (const netsim::ShardedSimulator* ssim = net.sharded()) {
+    std::fprintf(stderr, "sharded engine: %u shards, %llu epochs\n",
+                 net.shards(), static_cast<unsigned long long>(ssim->epochs()));
     for (u32 s = 0; s < ssim->shards(); ++s) {
       const netsim::ShardStats& st = ssim->shard_stats(s);
       std::fprintf(
@@ -687,15 +658,14 @@ int main(int argc, char** argv) {
     print_migration_report(*sw);
   } else if (heatmap_report) {
     print_heatmap_report(sw->heatmap());
-  } else if (ssim) {
+  } else {
     telemetry::MetricsRegistry merged;
-    ssim->merge_metrics_into(merged);
-    ssim->export_shard_stats(merged);
+    net.merge_metrics_into(merged);
+    if (const netsim::ShardedSimulator* ssim = net.sharded()) {
+      ssim->export_shard_stats(merged);
+    }
     export_extras(merged);
     merged.snapshot_json(std::cout);
-  } else {
-    export_extras(registry);
-    telemetry::snapshot_json(std::cout);
   }
 
   if (sink != nullptr) {
