@@ -10,7 +10,9 @@ namespace artmt::bench {
 namespace {
 
 void fig10() {
-  CaseStudyBed bed(4, /*universe=*/500'000, /*alpha=*/0.8);
+  Star star(0, controller::SwitchNode::Config{});
+  const auto tenants =
+      add_tenants(star, 4, /*universe=*/500'000, /*alpha=*/0.8);
   constexpr SimTime kStop = 28 * kSecond;
 
   std::vector<double> requested_at(4, 0.0);
@@ -19,14 +21,14 @@ void fig10() {
   double tenant0_repopulated_at = -1.0;
 
   for (u32 i = 0; i < 4; ++i) {
-    Tenant& tenant = *bed.tenant[i];
+    CacheTenant& tenant = *tenants[i];
     tenant.set_window(50 * kMillisecond);  // finer than Fig 9
-    bed.net.schedule_on(tenant.client(), i * 5 * kSecond,
-                        [&bed, &tenant, &requested_at, &operational_at, i,
-                         kStop] {
-      requested_at[i] = bed.net.now() / 1e9;
-      tenant.cache().on_ready = [&bed, &tenant, &operational_at, i, kStop] {
-        operational_at[i] = bed.net.now() / 1e9;
+    star.net.schedule_on(tenant.client(), i * 5 * kSecond,
+                         [&star, &tenant, &requested_at, &operational_at, i,
+                          kStop] {
+      requested_at[i] = star.net.now() / 1e9;
+      tenant.cache().on_ready = [&star, &tenant, &operational_at, i, kStop] {
+        operational_at[i] = star.net.now() / 1e9;
         tenant.cache().populate(tenant.hot_set_for_allocation());
         tenant.start_traffic(kStop);
       };
@@ -34,15 +36,15 @@ void fig10() {
     });
   }
   // Instrument tenant 0's reallocation when tenant 3 arrives.
-  bed.tenant[0]->cache().on_relocated = [&] {
-    tenant0_moved_at = bed.net.now() / 1e9;
-    bed.tenant[0]->cache().populate(
-        bed.tenant[0]->hot_set_for_allocation(), [&] {
-          tenant0_repopulated_at = bed.net.now() / 1e9;
+  tenants[0]->cache().on_relocated = [&] {
+    tenant0_moved_at = star.net.now() / 1e9;
+    tenants[0]->cache().populate(
+        tenants[0]->hot_set_for_allocation(), [&] {
+          tenant0_repopulated_at = star.net.now() / 1e9;
         });
   };
 
-  bed.net.run_until(kStop);
+  star.net.run_until(kStop);
 
   for (u32 i = 0; i < 4; ++i) {
     std::printf("\n### tenant %u (requested t=%.2fs, operational t=%.2fs, "
@@ -51,7 +53,7 @@ void fig10() {
                 (operational_at[i] - requested_at[i]) * 1e3);
     // Print the first three seconds after arrival plus the window around
     // the fourth arrival (t = 15 s).
-    const auto& windows = bed.tenant[i]->windows();
+    const auto& windows = tenants[i]->windows();
     std::printf("# time_s,hit_rate\n");
     for (const auto& [t, rate] : windows) {
       const bool after_arrival =
@@ -64,7 +66,7 @@ void fig10() {
   }
 
   // Disruption of tenant 0: zero-hit-rate span around tenant 3's arrival.
-  const auto& w0 = bed.tenant[0]->windows();
+  const auto& w0 = tenants[0]->windows();
   double disruption_start = -1.0;
   double disruption_end = -1.0;
   for (const auto& [t, rate] : w0) {

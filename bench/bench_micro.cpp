@@ -39,6 +39,7 @@
 #include "rmt/hash.hpp"
 #include "runtime/exec_batch.hpp"
 #include "runtime/runtime.hpp"
+#include "scenario/scenario.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
@@ -842,22 +843,14 @@ struct ChaosSoak {
 };
 
 ChaosSoak run_chaos_soak() {
-  netsim::Simulator sim;
-  netsim::Network net(sim);
   controller::SwitchNode::Config cfg;
   cfg.costs.table_entry_update = 100 * kMicrosecond;
   cfg.costs.snapshot_per_block = 1 * kMicrosecond;
   cfg.costs.clear_per_block = 1 * kMicrosecond;
-  auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
-  auto server = std::make_shared<apps::ServerNode>("server", 0xbb);
-  auto client = std::make_shared<client::ClientNode>("client", 0x100, 0xaa);
-  net.attach(sw);
-  net.attach(server);
-  net.attach(client);
-  net.connect(*sw, 0, *server, 0);
-  net.connect(*sw, 1, *client, 0);
-  sw->bind(0xbb, 0);
-  sw->bind(0x100, 1);
+  scenario::Star star(0, cfg);
+  netsim::Network& net = star.net;
+  netsim::Simulator& sim = net.simulator();
+  client::ClientNode& client = star.add_client("client");
 
   // The loss window opens after admission settles: allocation-control
   // capsules carry no retransmission by design, so the soak measures the
@@ -867,18 +860,15 @@ ChaosSoak run_chaos_soak() {
   faults::FaultInjector injector(plan);
   net.set_transmit_hook(&injector);
 
-  auto cache = std::make_shared<apps::CacheService>("cache", 0xbb);
-  client->register_service(cache);
-  client->on_passive = [&cache](netsim::Frame& frame) {
-    const auto msg = apps::KvMessage::parse(std::span<const u8>(frame).subspan(
-        packet::EthernetHeader::kWireSize));
-    if (msg) cache->handle_server_reply(*msg);
-  };
+  auto cache = std::make_shared<apps::CacheService>(
+      "cache", scenario::Star::kServerMac);
+  client.register_service(cache);
+  scenario::route_cache_replies(client, *cache);
   ChaosSoak soak;
   cache->on_result = [&](u32, u64, u32, bool hit) {
     (hit ? soak.cache_hits : soak.cache_misses)++;
   };
-  for (u64 key = 0; key < 2048; ++key) server->put(key, 1);
+  for (u64 key = 0; key < 2048; ++key) star.server->put(key, 1);
 
   bool populated = false;
   std::function<void(u32)> get_next = [&](u32 remaining) {

@@ -20,9 +20,9 @@
 // perf gates; BENCH_migration.json is NOT rewritten so a smoke run never
 // clobbers committed full-run numbers.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -30,10 +30,6 @@
 #include <vector>
 
 #include "alloc/hotness.hpp"
-#include "apps/cache_service.hpp"
-#include "apps/kv.hpp"
-#include "apps/server_node.hpp"
-#include "client/client_node.hpp"
 #include "controller/controller.hpp"
 #include "controller/migration.hpp"
 #include "controller/switch_node.hpp"
@@ -41,6 +37,7 @@
 #include "netsim/sharded.hpp"
 #include "rmt/pipeline.hpp"
 #include "runtime/runtime.hpp"
+#include "scenario/scenario.hpp"
 #include "telemetry/heatmap.hpp"
 #include "workload/churn.hpp"
 #include "workload/zipf.hpp"
@@ -219,20 +216,6 @@ SoakResult run_soak(std::size_t event_count) {
 
 // --- Section B: end-to-end disruption under live migration ----------------
 
-constexpr packet::MacAddr kSwitchMac = 0x0000aa;
-constexpr packet::MacAddr kServerMac = 0x0000bb;
-constexpr packet::MacAddr kClientMacBase = 0x000100;
-
-struct Digest {
-  u64 h = 1469598103934665603ull;
-  void mix(u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-};
-
 struct ScenarioKnobs {
   u32 shards = 1;
   u32 universe = 20'000;
@@ -247,119 +230,6 @@ struct ScenarioKnobs {
   const faults::FaultPlan* plan = nullptr;
 };
 
-// One cache tenant with a pausable Zipf request stream, windowed hit
-// rates, and a move-event log (the disruption-analysis input).
-struct Tenant {
-  Tenant(netsim::Network& net, controller::SwitchNode& sw, u32 index,
-         u32 universe, double alpha, double rps, u64 seed)
-      : net(&net),
-        index(index),
-        zipf(universe, alpha),
-        rng(seed),
-        gap_ns(static_cast<SimTime>(1e9 / rps)) {
-    client = std::make_shared<client::ClientNode>(
-        "tenant" + std::to_string(index), kClientMacBase + index, kSwitchMac);
-    net.attach(client);
-    net.connect(sw, index + 1, *client, 0);
-    sw.bind(kClientMacBase + index, index + 1);
-    cache = std::make_shared<apps::CacheService>("cache" + std::to_string(index),
-                                                 kServerMac);
-    client->register_service(cache);
-    client->on_passive = [this](netsim::Frame& frame) {
-      const auto msg = apps::KvMessage::parse(std::span<const u8>(frame).subspan(
-          packet::EthernetHeader::kWireSize));
-      if (msg) cache->handle_server_reply(*msg);
-    };
-    // The reply digest is PER TENANT: tenants live on different shards,
-    // so a digest shared across them would mix in cross-shard completion
-    // order (racy, and different between shard counts). Each tenant's
-    // stream is shard-local and ordered; the scenario combines the four
-    // digests in tenant order after the run.
-    cache->on_result = [this](u32 seq, u64 key, u32 value, bool hit) {
-      record(hit);
-      replies.mix(static_cast<u64>(this->net->simulator().now()));
-      replies.mix(seq);
-      replies.mix(key);
-      replies.mix(value);
-      replies.mix(hit ? 1 : 0);
-    };
-    cache->on_relocated = [this] {
-      move_events.push_back(windows.size());
-      // An idle tenant does not repopulate: there is no traffic to serve,
-      // and the write-back would read as recovered hotness.
-      if (repopulate_on_move) cache->populate(hot_set_for_allocation());
-    };
-  }
-
-  u64 key_for_rank(u32 rank) const {
-    return (static_cast<u64>(index + 1) << 40) ^
-           workload::ZipfGenerator::key_for_rank(rank);
-  }
-
-  void seed_server(apps::ServerNode& server) const {
-    for (u32 rank = 0; rank < zipf.universe(); ++rank) {
-      server.put(key_for_rank(rank), rank + 1);
-    }
-  }
-
-  std::vector<std::pair<u64, u32>> hot_set_for_allocation() const {
-    const u32 k = std::min(cache->bucket_count(), zipf.universe());
-    std::vector<std::pair<u64, u32>> out;
-    out.reserve(k);
-    for (u32 rank = k; rank-- > 0;) {
-      out.emplace_back(key_for_rank(rank), rank + 1);
-    }
-    return out;
-  }
-
-  void start_traffic(SimTime stop) {
-    stop_time = stop;
-    tick();
-  }
-
-  // Always through net->simulator(): it resolves to the owning shard's
-  // clock and queue from worker context (the engine's quiescent now() is
-  // stale mid-run).
-  void tick() {
-    if (net->simulator().now() >= stop_time) return;
-    cache->get(key_for_rank(zipf.next_rank(rng)));
-    net->simulator().schedule_after(gap_ns, [this] { tick(); });
-  }
-
-  void record(bool hit) {
-    const SimTime now = net->simulator().now();
-    if (window_start < 0) window_start = now;
-    if (now - window_start >= kWindow) {
-      windows.push_back(static_cast<double>(window_hits) /
-                        std::max<u64>(1, window_total));
-      window_start = now;
-      window_hits = 0;
-      window_total = 0;
-    }
-    ++window_total;
-    if (hit) ++window_hits;
-  }
-
-  static constexpr SimTime kWindow = 50 * kMillisecond;
-
-  netsim::Network* net;
-  u32 index;
-  workload::ZipfGenerator zipf;
-  Rng rng;
-  SimTime gap_ns;
-  SimTime stop_time = 0;
-  bool repopulate_on_move = true;
-  std::shared_ptr<client::ClientNode> client;
-  std::shared_ptr<apps::CacheService> cache;
-
-  SimTime window_start = -1;
-  u64 window_hits = 0;
-  u64 window_total = 0;
-  std::vector<double> windows;
-  std::vector<std::size_t> move_events;
-  Digest replies;
-};
-
 struct ScenarioOut {
   controller::DisruptionReport disruption;  // pooled over all tenants
   u64 move_events = 0;
@@ -371,7 +241,17 @@ struct ScenarioOut {
 };
 
 ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
-  netsim::Network net(knobs.shards);
+  scenario::Star star(knobs.shards, [](netsim::Network& net) {
+    controller::SwitchNode::Config cfg;
+    cfg.compute_model = alloc::ComputeModel::deterministic();
+    cfg.costs.extraction_timeout = 300 * kMillisecond;
+    cfg.costs.batched_updates = true;  // deployment config (EXPERIMENTS.md)
+    cfg.metrics = &net.metrics(0);
+    cfg.migration.enabled = true;
+    cfg.migration.interval = 100 * kMillisecond;
+    return cfg;
+  });
+  netsim::Network& net = star.net;
   std::unique_ptr<faults::FaultInjector> injector;
   if (knobs.plan != nullptr) {
     injector =
@@ -379,60 +259,57 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
     net.set_transmit_hook(injector.get());
   }
 
-  controller::SwitchNode::Config cfg;
-  cfg.compute_model = alloc::ComputeModel::deterministic();
-  cfg.costs.extraction_timeout = 300 * kMillisecond;
-  cfg.costs.batched_updates = true;  // deployment config (EXPERIMENTS.md)
-  cfg.metrics = &net.metrics(0);
-  cfg.migration.enabled = true;
-  cfg.migration.interval = 100 * kMillisecond;
-  auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
-  net.attach(sw);
-  net.pin(*sw, 0);
-  auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
-  net.attach(server);
-  net.connect(*sw, 0, *server, 0);
-  sw->bind(kServerMac, 0);
-
-  std::vector<std::unique_ptr<Tenant>> tenants;
+  // Per tenant: the hit-rate windows at which its allocation moved (the
+  // disruption-analysis input), and whether a move repopulates. Each
+  // entry is touched only on its tenant's shard.
+  std::vector<std::unique_ptr<scenario::CacheTenant>> tenants;
+  std::vector<std::vector<std::size_t>> moves(4);
+  std::array<bool, 4> repopulate_on_move{true, true, true, true};
   for (u32 i = 0; i < 4; ++i) {
-    tenants.push_back(std::make_unique<Tenant>(net, *sw, i, knobs.universe,
-                                               /*alpha=*/1.0, knobs.rps,
-                                               101 + i));
-    tenants.back()->seed_server(*server);
+    tenants.push_back(std::make_unique<scenario::CacheTenant>(
+        star.add_client("tenant" + std::to_string(i)), i,
+        scenario::Star::kServerMac,
+        workload::ZipfGenerator(knobs.universe, /*alpha=*/1.0), 101 + i,
+        static_cast<SimTime>(1e9 / knobs.rps)));
+    scenario::CacheTenant& t = *tenants.back();
+    t.seed(*star.server);
+    t.set_window(50 * kMillisecond);
+    t.cache().on_relocated = [&t, &moved = moves[i],
+                              &repopulate = repopulate_on_move[i]] {
+      moved.push_back(t.windows().size());
+      // An idle tenant does not repopulate: there is no traffic to serve,
+      // and the write-back would read as recovered hotness.
+      if (repopulate) t.cache().populate(t.hot_set_for_allocation());
+    };
   }
 
   // Allocation + traffic timeline. Tenants 1 and 2 pause mid-run (going
   // cold -> demoted) and resume (hot again -> promoted); tenants 0 and 3
   // run throughout and absorb every share move.
   for (u32 i = 0; i < 4; ++i) {
-    Tenant& t = *tenants[i];
+    scenario::CacheTenant& t = *tenants[i];
     const SimTime first_stop =
         i == 1 ? knobs.pause1
                : (i == 2 && knobs.resume2 > 0 ? knobs.pause2 : knobs.stop);
-    t.cache->on_ready = [&t, first_stop] {
-      t.cache->populate(t.hot_set_for_allocation());
+    t.cache().on_ready = [&t, first_stop] {
+      t.cache().populate(t.hot_set_for_allocation());
       t.start_traffic(first_stop);
     };
-    net.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
-                    [&t] { t.cache->request_allocation(); });
+    net.schedule_on(t.client(), (i + 1) * 100 * kMillisecond,
+                    [&t] { t.cache().request_allocation(); });
   }
-  Tenant& t1 = *tenants[1];
-  net.schedule_on(*t1.client, knobs.pause1,
-                  [&t1] { t1.repopulate_on_move = false; });
-  net.schedule_on(*t1.client, knobs.resume1, [&t1, stop = knobs.stop] {
-    t1.repopulate_on_move = true;
-    t1.start_traffic(stop);
-  });
-  if (knobs.resume2 > 0) {
-    Tenant& t2 = *tenants[2];
-    net.schedule_on(*t2.client, knobs.pause2,
-                    [&t2] { t2.repopulate_on_move = false; });
-    net.schedule_on(*t2.client, knobs.resume2, [&t2, stop = knobs.stop] {
-      t2.repopulate_on_move = true;
-      t2.start_traffic(stop);
-    });
-  }
+  const auto idle_cycle = [&](u32 i, SimTime pause, SimTime resume) {
+    scenario::CacheTenant& t = *tenants[i];
+    bool& repopulate = repopulate_on_move[i];
+    net.schedule_on(t.client(), pause, [&repopulate] { repopulate = false; });
+    net.schedule_on(t.client(), resume,
+                    [&t, &repopulate, stop = knobs.stop] {
+                      repopulate = true;
+                      t.start_traffic(stop);
+                    });
+  };
+  idle_cycle(1, knobs.pause1, knobs.resume1);
+  if (knobs.resume2 > 0) idle_cycle(2, knobs.pause2, knobs.resume2);
 
   net.run_until(knobs.stop + 2 * kSecond);
 
@@ -441,20 +318,22 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
   // p99 is over all per-service disruption events, as the gate demands.
   std::vector<double> series;
   std::vector<std::size_t> events;
-  for (const auto& t : tenants) {
-    for (const std::size_t w : t->move_events) {
-      if (w > 0 && w < t->windows.size()) {
-        events.push_back(series.size() + w);
-      }
+  Digest combined;
+  for (u32 i = 0; i < 4; ++i) {
+    const auto& windows = tenants[i]->windows();
+    for (const std::size_t w : moves[i]) {
+      if (w > 0 && w < windows.size()) events.push_back(series.size() + w);
     }
-    series.insert(series.end(), t->windows.begin(), t->windows.end());
-    out.move_events += t->move_events.size();
+    for (const auto& window : windows) series.push_back(window.second);
+    out.move_events += moves[i].size();
+    // Per-tenant digests combined in tenant order: tenants live on
+    // different shards, so one shared digest would mix in cross-shard
+    // completion order.
+    combined.mix(tenants[i]->digest());
   }
   out.disruption = controller::analyze_disruption(series, events);
-  out.engine = sw->migration_stats();
-  out.ctrl = sw->controller().stats();
-  Digest combined;
-  for (const auto& t : tenants) combined.mix(t->replies.h);
+  out.engine = star.sw->migration_stats();
+  out.ctrl = star.sw->controller().stats();
   out.reply_digest = combined.h;
   out.completed_at = net.now();
   telemetry::MetricsRegistry merged;

@@ -6,31 +6,19 @@
 // Build & run:  ./build/examples/cache_demo
 #include <cstdio>
 
-#include "apps/cache_service.hpp"
-#include "apps/server_node.hpp"
-#include "client/client_node.hpp"
 #include "common/logging.hpp"
-#include "controller/switch_node.hpp"
-#include "workload/zipf.hpp"
+#include "scenario/scenario.hpp"
 
 using namespace artmt;
 
 int main() {
   set_log_level(LogLevel::kInfo);
 
-  netsim::Network net(0);  // 0 shards: the serial reference engine
-
-  auto sw = std::make_shared<controller::SwitchNode>(
-      "switch", controller::SwitchNode::Config{});
-  auto server = std::make_shared<apps::ServerNode>("server", 0xbb);
-  auto client = std::make_shared<client::ClientNode>("client", 0x100, 0xaa);
-  net.attach(sw);
-  net.attach(server);
-  net.attach(client);
-  net.connect(*sw, 0, *server, 0);
-  net.connect(*sw, 1, *client, 0);
-  sw->bind(0xbb, 0);
-  sw->bind(0x100, 1);
+  // The single-switch star on the serial reference engine (0 shards):
+  // server on switch port 0, the client on port 1.
+  scenario::Star star(0, controller::SwitchNode::Config{});
+  netsim::Network& net = star.net;
+  client::ClientNode& client = star.add_client("client");
 
   // Workload: 10k keys, Zipf(1.1); the server is authoritative.
   workload::ZipfGenerator zipf(10'000, 1.1);
@@ -39,16 +27,13 @@ int main() {
     return workload::ZipfGenerator::key_for_rank(rank);
   };
   for (u32 rank = 0; rank < zipf.universe(); ++rank) {
-    server->put(key_of(rank), rank + 1);
+    star.server->put(key_of(rank), rank + 1);
   }
 
-  auto cache = std::make_shared<apps::CacheService>("cache", 0xbb);
-  client->register_service(cache);
-  client->on_passive = [&cache](netsim::Frame& frame) {
-    const auto msg = apps::KvMessage::parse(std::span<const u8>(frame).subspan(
-        packet::EthernetHeader::kWireSize));
-    if (msg) cache->handle_server_reply(*msg);
-  };
+  auto cache = std::make_shared<apps::CacheService>(
+      "cache", scenario::Star::kServerMac);
+  client.register_service(cache);
+  scenario::route_cache_replies(client, *cache);
 
   u64 hits = 0;
   u64 misses = 0;
@@ -76,7 +61,7 @@ int main() {
     net.simulator().schedule_after(
         100 * 1000, [&fire, remaining] { fire(remaining - 1); });
   };
-  net.schedule_on(*client, 2 * kSecond, [&fire] { fire(20'000); });
+  net.schedule_on(client, 2 * kSecond, [&fire] { fire(20'000); });
 
   net.run();
   std::printf("\nresults: %llu hits, %llu misses (hit rate %.1f%%)\n",
@@ -86,7 +71,8 @@ int main() {
   std::printf("ideal (top-500 popularity mass): %.1f%%\n",
               100.0 * zipf.top_mass(500));
   std::printf("switch processed %llu capsules, returned %llu from cache\n",
-              static_cast<unsigned long long>(sw->runtime().stats().packets),
-              static_cast<unsigned long long>(sw->node_stats().returned));
+              static_cast<unsigned long long>(
+                  star.sw->runtime().stats().packets),
+              static_cast<unsigned long long>(star.sw->node_stats().returned));
   return 0;
 }

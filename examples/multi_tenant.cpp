@@ -7,39 +7,26 @@
 // Build & run:  ./build/examples/multi_tenant
 #include <cstdio>
 
-#include "apps/cache_service.hpp"
-#include "apps/server_node.hpp"
-#include "client/client_node.hpp"
 #include "common/logging.hpp"
-#include "controller/switch_node.hpp"
+#include "scenario/scenario.hpp"
 
 using namespace artmt;
 
 int main() {
   set_log_level(LogLevel::kInfo);
 
-  netsim::Network net(0);  // 0 shards: the serial reference engine
+  // The single-switch star on the serial reference engine (0 shards):
+  // tenant i on switch port i + 1.
   controller::SwitchNode::Config cfg;
   cfg.scheme = alloc::Scheme::kFirstFit;  // forces early sharing
-  auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
-  auto server = std::make_shared<apps::ServerNode>("server", 0xbb);
-  net.attach(sw);
-  net.attach(server);
-  net.connect(*sw, 0, *server, 0);
-  sw->bind(0xbb, 0);
+  scenario::Star star(0, cfg);
+  netsim::Network& net = star.net;
 
-  std::vector<std::shared_ptr<client::ClientNode>> clients;
   std::vector<std::shared_ptr<apps::CacheService>> caches;
   for (u32 i = 0; i < 3; ++i) {
-    auto client = std::make_shared<client::ClientNode>(
-        "tenant" + std::to_string(i), 0x100 + i, 0xaa);
-    net.attach(client);
-    net.connect(*sw, i + 1, *client, 0);
-    sw->bind(0x100 + i, i + 1);
     auto cache = std::make_shared<apps::CacheService>(
-        "cache" + std::to_string(i), 0xbb);
-    client->register_service(cache);
-    clients.push_back(std::move(client));
+        "cache" + std::to_string(i), scenario::Star::kServerMac);
+    star.add_client("tenant" + std::to_string(i)).register_service(cache);
     caches.push_back(std::move(cache));
   }
 
@@ -57,7 +44,7 @@ int main() {
                   net.now() / 1e9, index, caches[index]->bucket_count());
       caches[index]->populate({{0x1000 + index, index + 1}});
     };
-    net.schedule_on(*clients[i], i * 2 * kSecond, [&, index] {
+    net.schedule_on(*star.clients[i], i * 2 * kSecond, [&, index] {
       std::printf("[t=%.3fs] tenant %u requesting allocation\n",
                   net.now() / 1e9, index);
       caches[index]->request_allocation();
@@ -72,7 +59,7 @@ int main() {
                 caches[i]->operational() ? "operational" : "NOT operational",
                 caches[i]->bucket_count());
   }
-  const auto& stats = sw->controller().stats();
+  const auto& stats = star.sw->controller().stats();
   std::printf("controller: %llu admissions, %llu reallocations, %llu table "
               "updates, %llu blocks snapshotted\n",
               static_cast<unsigned long long>(stats.admissions),

@@ -7,33 +7,22 @@
 #include <cstdio>
 
 #include "apps/hh_service.hpp"
-#include "apps/server_node.hpp"
-#include "client/client_node.hpp"
 #include "common/logging.hpp"
-#include "controller/switch_node.hpp"
-#include "workload/zipf.hpp"
+#include "scenario/scenario.hpp"
 
 using namespace artmt;
 
 int main() {
   set_log_level(LogLevel::kInfo);
 
-  netsim::Network net(0);  // 0 shards: the serial reference engine
-  auto sw = std::make_shared<controller::SwitchNode>(
-      "switch", controller::SwitchNode::Config{});
-  auto server = std::make_shared<apps::ServerNode>("server", 0xbb);
-  auto client = std::make_shared<client::ClientNode>("client", 0x100, 0xaa);
-  net.attach(sw);
-  net.attach(server);
-  net.attach(client);
-  net.connect(*sw, 0, *server, 0);
-  net.connect(*sw, 1, *client, 0);
-  sw->bind(0xbb, 0);
-  sw->bind(0x100, 1);
+  // The single-switch star on the serial reference engine (0 shards).
+  scenario::Star star(0, controller::SwitchNode::Config{});
+  netsim::Network& net = star.net;
+  client::ClientNode& client = star.add_client("client");
 
-  auto monitor =
-      std::make_shared<apps::FrequentItemService>("monitor", 0xbb);
-  client->register_service(monitor);
+  auto monitor = std::make_shared<apps::FrequentItemService>(
+      "monitor", scenario::Star::kServerMac);
+  client.register_service(monitor);
 
   // 30k observations from a skewed distribution.
   workload::ZipfGenerator zipf(5'000, 1.3);
@@ -73,8 +62,9 @@ int main() {
 
   net.run();
   std::printf("\nswitch stats: %llu capsules, %llu recirculations\n",
-              static_cast<unsigned long long>(sw->runtime().stats().packets),
               static_cast<unsigned long long>(
-                  sw->runtime().stats().recirculations));
+                  star.sw->runtime().stats().packets),
+              static_cast<unsigned long long>(
+                  star.sw->runtime().stats().recirculations));
   return 0;
 }

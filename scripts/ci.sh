@@ -3,14 +3,15 @@
 # allocator parity/churn gate, a telemetry-overhead gate, a
 # throughput-regression gate, a chaos soak
 # (fault-injection digest-equality matrix), a migration soak, a fabric
-# soak (multi-switch failure drill + leaf-spine chaos), the benchmark's
-# determinism test, an ASan+UBSan job, then a ThreadSanitizer job (the
-# sharded engine's worker threads).
+# soak (multi-switch failure drill + leaf-spine chaos), a golden-output
+# diff of the tools and examples, the benchmark's determinism test, an
+# ASan+UBSan job, then a ThreadSanitizer job (the sharded engine's worker
+# threads).
 #
 # Usage: scripts/ci.sh
 #   [release|bench|perf-smoke|alloc-bench|telemetry-overhead|
-#    bench-regression|chaos-soak|migration-soak|fabric-soak|perfbench|
-#    sanitize|tsan|all]
+#    bench-regression|chaos-soak|migration-soak|fabric-soak|
+#    golden-outputs|perfbench|sanitize|tsan|all]
 # (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -194,6 +195,39 @@ run_fabric_soak() {
       --seed 3 --loss 0.005
 }
 
+run_golden_outputs() {
+  echo "== golden outputs: tool and example output vs tests/golden =="
+  cmake --preset default
+  cmake --build --preset default
+  # Every run below is deterministic (modeled allocator compute, virtual
+  # time), so its output must match the committed file byte for byte: the
+  # artmt_stats serial and --fabric snapshots, the artmt_chaos per-run
+  # digest lines (stderr) on both topologies, and the six examples.
+  local out
+  out="$(mktemp -d)"
+  ./build/tools/artmt_stats >"$out/artmt_stats.json" 2>/dev/null
+  ./build/tools/artmt_stats --fabric >"$out/artmt_stats_fabric.json" \
+      2>/dev/null
+  ./build/tools/artmt_chaos >/dev/null 2>"$out/artmt_chaos.err"
+  ./build/tools/artmt_chaos --topology leaf-spine >/dev/null \
+      2>"$out/artmt_chaos_leaf_spine.err"
+  for example in quickstart cache_demo load_balancer telemetry \
+      multi_tenant sequencer_demo; do
+    "./build/examples/$example" >"$out/$example.out" 2>/dev/null
+  done
+  local failed=0
+  for golden in tests/golden/*; do
+    if ! diff -u "$golden" "$out/$(basename "$golden")"; then
+      echo "golden-outputs: $(basename "$golden") differs from $golden" >&2
+      failed=1
+    fi
+  done
+  rm -rf "$out"
+  if [ "$failed" -ne 0 ]; then
+    exit 1
+  fi
+}
+
 run_perfbench() {
   echo "== perfbench determinism: same seed, same digest and virtual metrics =="
   # Builds perfbench/ (into $CARGO_TARGET_DIR/perfbench, or .bench_build/)
@@ -229,6 +263,7 @@ case "$job" in
   chaos-soak) run_chaos_soak ;;
   migration-soak) run_migration_soak ;;
   fabric-soak) run_fabric_soak ;;
+  golden-outputs) run_golden_outputs ;;
   perfbench) run_perfbench ;;
   sanitize) run_sanitize ;;
   tsan) run_tsan ;;
@@ -242,12 +277,13 @@ case "$job" in
     run_chaos_soak
     run_migration_soak
     run_fabric_soak
+    run_golden_outputs
     run_perfbench
     run_sanitize
     run_tsan
     ;;
   *)
-    echo "unknown job '$job' (expected release|bench|perf-smoke|alloc-bench|telemetry-overhead|bench-regression|chaos-soak|migration-soak|fabric-soak|perfbench|sanitize|tsan|all)" >&2
+    echo "unknown job '$job' (expected release|bench|perf-smoke|alloc-bench|telemetry-overhead|bench-regression|chaos-soak|migration-soak|fabric-soak|golden-outputs|perfbench|sanitize|tsan|all)" >&2
     exit 2
     ;;
 esac

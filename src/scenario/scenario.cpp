@@ -1,0 +1,144 @@
+#include "scenario/scenario.hpp"
+
+#include <algorithm>
+
+#include "apps/kv.hpp"
+#include "packet/ethernet.hpp"
+
+namespace artmt::scenario {
+
+Star::Star(u32 shards, const ConfigFor& config)
+    : net(shards),
+      sw(std::make_shared<controller::SwitchNode>("switch", config(net))),
+      server(std::make_shared<apps::ServerNode>("server", kServerMac)) {
+  net.attach(sw);
+  net.pin(*sw, 0);
+  attach_host(server, 0, kServerMac);
+}
+
+Star::Star(u32 shards, const controller::SwitchNode::Config& config)
+    : Star(shards, [&config](netsim::Network&) { return config; }) {}
+
+client::ClientNode& Star::add_client(std::string name) {
+  const auto k = static_cast<u32>(clients.size());
+  auto client = std::make_shared<client::ClientNode>(
+      std::move(name), kClientMacBase + k, kSwitchMac);
+  attach_host(client, k + 1, kClientMacBase + k);
+  clients.push_back(std::move(client));
+  return *clients.back();
+}
+
+void Star::attach_host(std::shared_ptr<netsim::Node> node, u32 port,
+                       packet::MacAddr mac) {
+  netsim::Node& host = *node;
+  net.attach(std::move(node));
+  net.connect(*sw, port, host, 0);
+  sw->bind(mac, port);
+}
+
+void Star::run_for(SimTime duration) { net.run_until(net.now() + duration); }
+
+void route_cache_replies(client::ClientNode& client,
+                         apps::CacheService& cache) {
+  client.on_passive = [&cache](netsim::Frame& frame) {
+    const auto msg = apps::KvMessage::parse(std::span<const u8>(frame).subspan(
+        packet::EthernetHeader::kWireSize));
+    if (msg) cache.handle_server_reply(*msg);
+  };
+}
+
+u64 register_digest(rmt::Pipeline& pipeline) {
+  Digest digest;
+  for (u32 s = 0; s < pipeline.stage_count(); ++s) {
+    rmt::RegisterArray& memory = pipeline.stage(s).memory();
+    for (const Word w : memory.dump(0, memory.size())) digest.mix(w);
+  }
+  return digest.h;
+}
+
+CacheTenant::CacheTenant(client::ClientNode& client, u32 index,
+                         packet::MacAddr server_mac,
+                         workload::ZipfGenerator zipf, u64 seed,
+                         SimTime request_gap)
+    : client_(&client),
+      index_(index),
+      zipf_(std::move(zipf)),
+      rng_(seed),
+      gap_(request_gap),
+      cache_(std::make_shared<apps::CacheService>(
+          "cache" + std::to_string(index), server_mac)) {
+  client.register_service(cache_);
+  route_cache_replies(client, *cache_);
+  cache_->on_result = [this](u32 seq, u64 key, u32 value, bool hit) {
+    record(seq, key, value, hit);
+    if (on_result) on_result(seq, key, value, hit);
+  };
+}
+
+u64 CacheTenant::key_for_rank(u32 rank) const {
+  return (static_cast<u64>(index_ + 1) << 40) ^
+         workload::ZipfGenerator::key_for_rank(rank);
+}
+
+void CacheTenant::seed(apps::ServerNode& server) {
+  seeded_.reserve(zipf_.universe());
+  for (u32 rank = 0; rank < zipf_.universe(); ++rank) {
+    server.put(key_for_rank(rank), rank + 1);
+    seeded_.emplace_back(key_for_rank(rank), rank + 1);
+  }
+  std::sort(seeded_.begin(), seeded_.end());
+}
+
+std::vector<std::pair<u64, u32>> CacheTenant::hot_set_for_allocation() const {
+  const u32 k = std::min(cache_->bucket_count(), zipf_.universe());
+  std::vector<std::pair<u64, u32>> out;
+  out.reserve(k);
+  for (u32 rank = k; rank-- > 0;) {
+    out.emplace_back(key_for_rank(rank), rank + 1);
+  }
+  return out;
+}
+
+void CacheTenant::start_traffic(SimTime stop) {
+  stop_ = stop;
+  tick();
+}
+
+// Always through network().simulator(): it resolves to the client's shard
+// clock and queue from worker context.
+void CacheTenant::tick() {
+  netsim::Simulator& sim = client_->network().simulator();
+  if (sim.now() >= stop_) return;
+  cache_->get(key_for_rank(zipf_.next_rank(rng_)));
+  sim.schedule_after(gap_, [this] { tick(); });
+}
+
+void CacheTenant::record(u32 seq, u64 key, u32 value, bool hit) {
+  const SimTime now = client_->network().simulator().now();
+  if (hit) {
+    const auto it = std::lower_bound(
+        seeded_.begin(), seeded_.end(), std::pair<u64, u32>{key, 0});
+    if (it == seeded_.end() || it->first != key || it->second != value) {
+      ++bad_values_;
+    }
+  }
+  replies_.mix(static_cast<u64>(now));
+  replies_.mix(seq);
+  replies_.mix(key);
+  replies_.mix(value);
+  replies_.mix(hit ? 1 : 0);
+
+  if (window_start_ < 0) window_start_ = now;
+  if (now - window_start_ >= window_) {
+    windows_.emplace_back(
+        window_start_ / 1e9,
+        static_cast<double>(window_hits_) / std::max<u64>(1, window_total_));
+    window_start_ = now;
+    window_hits_ = 0;
+    window_total_ = 0;
+  }
+  ++window_total_;
+  if (hit) ++window_hits_;
+}
+
+}  // namespace artmt::scenario

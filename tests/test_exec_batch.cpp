@@ -23,6 +23,7 @@
 
 #include "active/assembler.hpp"
 #include "apps/programs.hpp"
+#include "common/digest.hpp"
 #include "controller/switch_node.hpp"
 #include "faults/injector.hpp"
 #include "netsim/network.hpp"
@@ -35,18 +36,6 @@ namespace {
 
 using netsim::LinkSpec;
 using netsim::Network;
-
-// FNV-1a over 64-bit words: order-sensitive, so equal digests mean equal
-// event streams in equal order.
-struct Digest {
-  u64 h = 1469598103934665603ull;
-  void mix(u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-};
 
 // Records every arriving frame: timestamp, port, and every payload byte.
 class DigestSink : public netsim::Node {

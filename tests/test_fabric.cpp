@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "apps/cache_service.hpp"
-#include "apps/kv.hpp"
 #include "apps/programs.hpp"
 #include "apps/server_node.hpp"
 #include "client/client_node.hpp"
@@ -26,6 +25,7 @@
 #include "faults/injector.hpp"
 #include "netsim/network.hpp"
 #include "proto/wire.hpp"
+#include "scenario/scenario.hpp"
 #include "telemetry/metrics.hpp"
 #include "workload/zipf.hpp"
 
@@ -112,25 +112,6 @@ constexpr packet::MacAddr kServerMac = 0x5E00;
 constexpr packet::MacAddr kClientMacBase = 0xC100;
 constexpr packet::MacAddr kLeafMac = Topology::kLeafMacBase;
 
-struct Digest {
-  u64 h = 1469598103934665603ull;
-  void mix(u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-};
-
-u64 register_digest(rmt::Pipeline& pipeline) {
-  Digest digest;
-  for (u32 s = 0; s < pipeline.stage_count(); ++s) {
-    rmt::RegisterArray& memory = pipeline.stage(s).memory();
-    for (const Word w : memory.dump(0, memory.size())) digest.mix(w);
-  }
-  return digest.h;
-}
-
 struct FabricOpts {
   u32 shards = 1;
   std::vector<u32> client_leaf = {0, 1, 2, 3};  // one service per client
@@ -187,88 +168,38 @@ FabricOut run_fabric(const FabricOpts& opts) {
   net.pin(*server, opts.server_leaf % opts.shards);
 
   const u32 n = static_cast<u32>(opts.client_leaf.size());
-  struct Tenant {
-    std::shared_ptr<client::ClientNode> client;
-    std::shared_ptr<apps::CacheService> cache;
-    workload::ZipfGenerator zipf{512, 1.2};
-    Rng rng{0};
-    Digest replies;
-    u64 hits = 0;
-    u64 late_hits = 0;
-    u64 late_results = 0;
-    u64 bad_values = 0;
-    SimTime stop_time = 0;
-    std::function<void()> drive;
-  };
-  std::vector<std::unique_ptr<Tenant>> tenants;
-  for (u32 i = 0; i < n; ++i) {
-    auto t = std::make_unique<Tenant>();
-    t->rng = Rng(1000 + i);
-    t->client = std::make_shared<client::ClientNode>(
-        "tenant" + std::to_string(i), kClientMacBase + i,
-        topo.controller_mac());
-    net.attach(t->client);
-    topo.attach_host(*t->client, 0, opts.client_leaf[i], kClientMacBase + i);
-    net.pin(*t->client, opts.client_leaf[i] % opts.shards);
-    t->cache = std::make_shared<apps::CacheService>(
-        "cache" + std::to_string(i), kServerMac);
-    t->client->register_service(t->cache);
-    tenants.push_back(std::move(t));
-  }
-
-  const auto key_of = [](u32 tenant, u32 rank) {
-    return (static_cast<u64>(tenant + 1) << 40) ^
-           workload::ZipfGenerator::key_for_rank(rank);
-  };
-  for (u32 i = 0; i < n; ++i) {
-    for (u32 rank = 0; rank < tenants[i]->zipf.universe(); ++rank) {
-      server->put(key_of(i, rank), rank + 1);
-    }
-  }
-
+  std::vector<std::unique_ptr<scenario::CacheTenant>> tenants;
+  // Results after opts.mark, per tenant (entry i: tenant i's shard only).
+  std::vector<u64> late_hits(n, 0);
+  std::vector<u64> late_results(n, 0);
   const SimTime drive_stop = opts.stop - 300 * kMillisecond;
   for (u32 i = 0; i < n; ++i) {
-    Tenant& t = *tenants[i];
-    t.client->on_passive = [&t](netsim::Frame& frame) {
-      const auto msg = apps::KvMessage::parse(std::span<const u8>(frame).subspan(
-          packet::EthernetHeader::kWireSize));
-      if (msg) t.cache->handle_server_reply(*msg);
+    auto client = std::make_shared<client::ClientNode>(
+        "tenant" + std::to_string(i), kClientMacBase + i,
+        topo.controller_mac());
+    net.attach(client);
+    topo.attach_host(*client, 0, opts.client_leaf[i], kClientMacBase + i);
+    net.pin(*client, opts.client_leaf[i] % opts.shards);
+    tenants.push_back(std::make_unique<scenario::CacheTenant>(
+        *client, i, kServerMac, workload::ZipfGenerator(512, 1.2), 1000 + i,
+        500 * kMicrosecond));
+    scenario::CacheTenant& t = *tenants.back();
+    t.seed(*server);
+    t.on_result = [&net, &opts, &late_hit = late_hits[i],
+                   &late_result = late_results[i]](u32, u64, u32, bool hit) {
+      if (opts.mark == 0 || net.simulator().now() < opts.mark) return;
+      ++late_result;
+      if (hit) ++late_hit;
     };
-    t.cache->on_result = [&t, &net, &opts](u32 seq, u64 key, u32 value,
-                                           bool hit) {
-      const SimTime now = net.simulator().now();
-      if (hit) {
-        ++t.hits;
-        if (value == 0) ++t.bad_values;
-        if (opts.mark != 0 && now >= opts.mark) ++t.late_hits;
-      }
-      if (opts.mark != 0 && now >= opts.mark) ++t.late_results;
-      t.replies.mix(static_cast<u64>(now));
-      t.replies.mix(seq);
-      t.replies.mix(key);
-      t.replies.mix(value);
-      t.replies.mix(hit ? 1 : 0);
+    t.cache().on_relocated = [&t] {
+      t.cache().populate(t.hot_set_for_allocation());
     };
-    const auto hot_set = [&t, i, key_of] {
-      const u32 k = std::min(t.cache->bucket_count(), t.zipf.universe());
-      std::vector<std::pair<u64, u32>> out;
-      out.reserve(k);
-      for (u32 rank = k; rank-- > 0;) out.emplace_back(key_of(i, rank), rank + 1);
-      return out;
+    t.cache().on_ready = [&t, drive_stop] {
+      t.cache().populate(t.hot_set_for_allocation());
+      t.start_traffic(drive_stop);
     };
-    t.cache->on_relocated = [&t, hot_set] { t.cache->populate(hot_set()); };
-    t.drive = [&t, &net, i, key_of] {
-      if (net.simulator().now() >= t.stop_time) return;
-      t.cache->get(key_of(i, t.zipf.next_rank(t.rng)));
-      net.simulator().schedule_after(500 * kMicrosecond, [&t] { t.drive(); });
-    };
-    t.cache->on_ready = [&t, hot_set, drive_stop] {
-      t.cache->populate(hot_set());
-      t.stop_time = drive_stop;
-      t.drive();
-    };
-    net.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
-                    [&t] { t.cache->request_allocation(); });
+    net.schedule_on(*client, (i + 1) * 100 * kMillisecond,
+                    [&t] { t.cache().request_allocation(); });
   }
 
   if (opts.wipe_leaf0_at != 0) {
@@ -282,22 +213,23 @@ FabricOut run_fabric(const FabricOpts& opts) {
   FabricOut out;
   out.report = topo.controller().report();
   for (u32 i = 0; i < topo.leaves(); ++i) {
-    out.leaf_digests.push_back(register_digest(topo.leaf(i).pipeline()));
+    out.leaf_digests.push_back(
+        scenario::register_digest(topo.leaf(i).pipeline()));
   }
   Digest combined;
   for (u32 i = 0; i < n; ++i) {
-    Tenant& t = *tenants[i];
-    combined.mix(t.replies.h);
-    const Fid fid = t.cache->fid();
+    scenario::CacheTenant& t = *tenants[i];
+    combined.mix(t.digest());
+    const Fid fid = t.cache().fid();
     out.fids.push_back(fid);
     out.owners.push_back(topo.controller().owner_of(fid));
-    out.steering.push_back(t.client->steering_of(fid));
-    out.operational.push_back(t.cache->operational());
-    out.hits.push_back(t.hits);
-    out.late_hits.push_back(t.late_hits);
-    out.late_results.push_back(t.late_results);
-    out.bad_values += t.bad_values;
+    out.steering.push_back(t.client().steering_of(fid));
+    out.operational.push_back(t.cache().operational());
+    out.hits.push_back(t.hits());
+    out.bad_values += t.bad_values();
   }
+  out.late_hits = late_hits;
+  out.late_results = late_results;
   out.reply_digest = combined.h;
   out.completed_at = net.now();
   return out;
@@ -533,11 +465,7 @@ TEST(FabricFailover, DualHomedClientSwingsToBackupUplink) {
   for (u32 rank = 0; rank < zipf.universe(); ++rank) {
     server->put(key_of(rank), rank + 1);
   }
-  client->on_passive = [&cache](netsim::Frame& frame) {
-    const auto msg = apps::KvMessage::parse(std::span<const u8>(frame).subspan(
-        packet::EthernetHeader::kWireSize));
-    if (msg) cache->handle_server_reply(*msg);
-  };
+  scenario::route_cache_replies(*client, *cache);
   cache->on_result = [&](u32, u64, u32 value, bool hit) {
     if (!hit) return;
     if (value == 0) ++bad_values;

@@ -21,9 +21,11 @@
 #include "apps/server_node.hpp"
 #include "client/client_node.hpp"
 #include "client/reliability.hpp"
+#include "common/digest.hpp"
 #include "controller/switch_node.hpp"
 #include "faults/injector.hpp"
 #include "netsim/network.hpp"
+#include "scenario/scenario.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace artmt {
@@ -103,17 +105,6 @@ struct PairNet {
 
   Network net;
   std::shared_ptr<SinkNode> a, b;
-};
-
-// FNV-1a over 64-bit words (order-sensitive).
-struct Digest {
-  u64 h = 1469598103934665603ull;
-  void mix(u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
 };
 
 u64 arrivals_digest(const SinkNode& node) {
@@ -712,69 +703,33 @@ TEST(SwitchWipe, WipeRegistersZeroesEveryStage) {
 
 // --- end-to-end recovery (apps + reliability + faults) --------------------
 
-constexpr packet::MacAddr kSwitchMac = 0x0000aa;
-constexpr packet::MacAddr kServerMac = 0x0000bb;
-constexpr packet::MacAddr kClientMacBase = 0x000100;
+using scenario::Star;
 
-// The test_e2e Testbed plus a pluggable fault plan.
-class ChaosBed {
- public:
-  explicit ChaosBed(u32 clients = 1,
-                    alloc::Scheme scheme = alloc::Scheme::kWorstFit)
-      : net_(0) {
-    controller::SwitchNode::Config cfg;
-    cfg.scheme = scheme;
-    cfg.costs.table_entry_update = 100 * kMicrosecond;
-    cfg.costs.snapshot_per_block = 1 * kMicrosecond;
-    cfg.costs.clear_per_block = 1 * kMicrosecond;
-    cfg.costs.extraction_timeout = 200 * kMillisecond;
-    switch_ = std::make_shared<controller::SwitchNode>("switch", cfg);
-    net_.attach(switch_);
+constexpr packet::MacAddr kServerMac = Star::kServerMac;
 
-    server_ = std::make_shared<apps::ServerNode>("server", kServerMac);
-    net_.attach(server_);
-    net_.connect(*switch_, 0, *server_, 0);
-    switch_->bind(kServerMac, 0);
-
-    for (u32 i = 0; i < clients; ++i) {
-      auto client = std::make_shared<client::ClientNode>(
-          "client" + std::to_string(i), kClientMacBase + i, kSwitchMac);
-      net_.attach(client);
-      net_.connect(*switch_, i + 1, *client, 0);
-      switch_->bind(kClientMacBase + i, i + 1);
-      clients_.push_back(std::move(client));
-    }
+// The single-switch star with `clients` clients ("client<i>") and the
+// test_e2e control costs; faults are installed per test.
+std::unique_ptr<Star> make_bed(
+    u32 clients = 1, alloc::Scheme scheme = alloc::Scheme::kWorstFit) {
+  controller::SwitchNode::Config cfg;
+  cfg.scheme = scheme;
+  cfg.costs.table_entry_update = 100 * kMicrosecond;
+  cfg.costs.snapshot_per_block = 1 * kMicrosecond;
+  cfg.costs.clear_per_block = 1 * kMicrosecond;
+  cfg.costs.extraction_timeout = 200 * kMillisecond;
+  auto bed = std::make_unique<Star>(0, cfg);
+  for (u32 i = 0; i < clients; ++i) {
+    bed->add_client("client" + std::to_string(i));
   }
-
-  // Quiescent-only (between run_for calls).
-  void inject(FaultPlan plan) {
-    injector_ = std::make_unique<FaultInjector>(std::move(plan));
-    net_.set_transmit_hook(injector_.get());
-  }
-
-  void run_for(SimTime duration) { net_.run_until(net_.now() + duration); }
-
-  Network net_;
-  std::unique_ptr<FaultInjector> injector_;
-  std::shared_ptr<controller::SwitchNode> switch_;
-  std::shared_ptr<apps::ServerNode> server_;
-  std::vector<std::shared_ptr<client::ClientNode>> clients_;
-};
-
-void wire_cache_replies(client::ClientNode& client, apps::CacheService& cache) {
-  client.on_passive = [&cache](netsim::Frame& frame) {
-    const auto msg = apps::KvMessage::parse(
-        std::span<const u8>(frame).subspan(packet::EthernetHeader::kWireSize));
-    if (msg) cache.handle_server_reply(*msg);
-  };
+  return bed;
 }
 
 TEST(Recovery, CachePopulateRetransmitsThroughLoss) {
-  ChaosBed bed;
+  auto bed = make_bed();
   auto cache = std::make_shared<apps::CacheService>("cache", kServerMac);
-  bed.clients_[0]->register_service(cache);
+  bed->clients[0]->register_service(cache);
   cache->request_allocation();
-  bed.run_for(2 * kSecond);
+  bed->run_for(2 * kSecond);
   ASSERT_TRUE(cache->operational());
 
   // 25% loss on the client<->switch link: write capsules and their acks
@@ -786,36 +741,37 @@ TEST(Recovery, CachePopulateRetransmitsThroughLoss) {
   rule.node_b = "switch";
   rule.drop = 0.25;
   plan.link_faults.push_back(rule);
-  bed.inject(plan);
+  FaultInjector injector(plan);
+  bed->net.set_transmit_hook(&injector);
 
   std::vector<std::pair<u64, u32>> items;
   for (u32 i = 0; i < 32; ++i) items.emplace_back(0x9000 + i, i + 1);
   bool done = false;
   cache->populate(items, [&] { done = true; });
-  bed.run_for(10 * kSecond);
+  bed->run_for(10 * kSecond);
 
   EXPECT_TRUE(done);
   const auto& stats = cache->populate_reliability().stats();
   EXPECT_EQ(stats.tracked, 32u);
   EXPECT_GT(stats.retransmits, 0u);
   EXPECT_GT(stats.recovered, 0u);
-  EXPECT_GT(bed.injector_->injected(FaultKind::kDrop), 0u);
+  EXPECT_GT(injector.injected(FaultKind::kDrop), 0u);
   // Every item either acked or (rarely, under the retry budget) gave up.
   EXPECT_EQ(stats.acked + stats.give_ups, 32u);
   EXPECT_EQ(cache->populate_reliability().outstanding(), 0u);
 }
 
 TEST(Recovery, HeavyHitterExtractionRetransmitsThroughLoss) {
-  ChaosBed bed;
+  auto bed = make_bed();
   auto monitor =
       std::make_shared<apps::FrequentItemService>("monitor", kServerMac);
-  bed.clients_[0]->register_service(monitor);
+  bed->clients[0]->register_service(monitor);
   monitor->request_allocation();
-  bed.run_for(2 * kSecond);
+  bed->run_for(2 * kSecond);
   ASSERT_TRUE(monitor->operational());
 
   for (u32 i = 0; i < 40; ++i) monitor->observe(0xbeef);
-  bed.run_for(kSecond);
+  bed->run_for(kSecond);
 
   FaultPlan plan;
   plan.seed = 43;
@@ -824,7 +780,8 @@ TEST(Recovery, HeavyHitterExtractionRetransmitsThroughLoss) {
   rule.node_b = "switch";
   rule.drop = 0.3;
   plan.link_faults.push_back(rule);
-  bed.inject(plan);
+  FaultInjector injector(plan);
+  bed->net.set_transmit_hook(&injector);
 
   bool done = false;
   std::vector<std::pair<u64, u32>> items;
@@ -834,13 +791,13 @@ TEST(Recovery, HeavyHitterExtractionRetransmitsThroughLoss) {
         items = std::move(got);
       },
       /*min_count=*/10);
-  bed.run_for(20 * kSecond);
+  bed->run_for(20 * kSecond);
 
   EXPECT_TRUE(done);
   const auto& stats = monitor->extract_reliability().stats();
   EXPECT_GT(stats.retransmits, 0u);
   EXPECT_GT(stats.recovered, 0u);
-  EXPECT_GT(bed.injector_->injected(FaultKind::kDrop), 0u);
+  EXPECT_GT(injector.injected(FaultKind::kDrop), 0u);
   ASSERT_FALSE(items.empty());
   EXPECT_EQ(items[0].first, 0xbeefu);
 }
@@ -849,11 +806,11 @@ TEST(Recovery, HeavyHitterExtractionRetransmitsThroughLoss) {
 // extraction deadline force-finalizes the admission so the new tenant
 // still comes up.
 TEST(Recovery, DisturbedClientTotalLossForcesFinalize) {
-  ChaosBed bed(2, alloc::Scheme::kFirstFit);  // first-fit forces sharing
+  auto bed = make_bed(2, alloc::Scheme::kFirstFit);  // first-fit forces sharing
   auto first = std::make_shared<apps::CacheService>("first", kServerMac);
-  bed.clients_[0]->register_service(first);
+  bed->clients[0]->register_service(first);
   first->request_allocation();
-  bed.run_for(2 * kSecond);
+  bed->run_for(2 * kSecond);
   ASSERT_TRUE(first->operational());
 
   // From now on client0 is unreachable in both directions.
@@ -861,20 +818,21 @@ TEST(Recovery, DisturbedClientTotalLossForcesFinalize) {
   LinkFaults cut;
   cut.node_a = "client0";
   cut.node_b = "switch";
-  cut.from = bed.net_.now();
+  cut.from = bed->net.now();
   cut.drop = 1.0;
   plan.link_faults.push_back(cut);
-  bed.inject(plan);
+  FaultInjector injector(plan);
+  bed->net.set_transmit_hook(&injector);
 
   auto second = std::make_shared<apps::CacheService>("second", kServerMac);
-  bed.clients_[1]->register_service(second);
+  bed->clients[1]->register_service(second);
   second->request_allocation();
-  bed.run_for(2 * kSecond);
+  bed->run_for(2 * kSecond);
 
   EXPECT_TRUE(second->operational());
-  EXPECT_GE(bed.switch_->controller().stats().extraction_timeouts, 1u);
-  EXPECT_FALSE(bed.switch_->controller().has_pending());
-  EXPECT_GT(bed.injector_->injected(FaultKind::kDrop), 0u);
+  EXPECT_GE(bed->sw->controller().stats().extraction_timeouts, 1u);
+  EXPECT_FALSE(bed->sw->controller().has_pending());
+  EXPECT_GT(injector.injected(FaultKind::kDrop), 0u);
 }
 
 // Drops only client0 -> switch: the ReallocNotice arrives, the client's
@@ -905,23 +863,23 @@ class OneWayDrop final : public netsim::TransmitHook {
 };
 
 TEST(Recovery, ExtractCompleteRetransmitsUntilDeadlineThenRecovers) {
-  ChaosBed bed(2, alloc::Scheme::kFirstFit);
+  auto bed = make_bed(2, alloc::Scheme::kFirstFit);
   auto first = std::make_shared<apps::CacheService>("first", kServerMac);
-  bed.clients_[0]->register_service(first);
+  bed->clients[0]->register_service(first);
   first->request_allocation();
-  bed.run_for(2 * kSecond);
+  bed->run_for(2 * kSecond);
   ASSERT_TRUE(first->operational());
 
-  OneWayDrop cut("client0", "switch", bed.net_.now());
-  bed.net_.set_transmit_hook(&cut);
+  OneWayDrop cut("client0", "switch", bed->net.now());
+  bed->net.set_transmit_hook(&cut);
 
   auto second = std::make_shared<apps::CacheService>("second", kServerMac);
-  bed.clients_[1]->register_service(second);
+  bed->clients[1]->register_service(second);
   second->request_allocation();
-  bed.run_for(2 * kSecond);
+  bed->run_for(2 * kSecond);
 
   EXPECT_TRUE(second->operational());
-  EXPECT_GE(bed.switch_->controller().stats().extraction_timeouts, 1u);
+  EXPECT_GE(bed->sw->controller().stats().extraction_timeouts, 1u);
   // The disturbed client heard the notice and kept resending its
   // ExtractComplete into the void.
   EXPECT_GT(first->handshake_reliability().stats().retransmits, 0u);
@@ -934,57 +892,58 @@ TEST(Recovery, ExtractCompleteRetransmitsUntilDeadlineThenRecovers) {
 // wiped at the up-edge), and the client re-populates through the normal
 // data plane -- the paper's client-driven content migration.
 TEST(Recovery, BrownoutWipesRegistersAndClientRepopulates) {
-  ChaosBed bed;
+  auto bed = make_bed();
   auto cache = std::make_shared<apps::CacheService>("cache", kServerMac);
-  bed.clients_[0]->register_service(cache);
-  wire_cache_replies(*bed.clients_[0], *cache);
-  bed.server_->put(0x77, 1234);
+  bed->clients[0]->register_service(cache);
+  scenario::route_cache_replies(*bed->clients[0], *cache);
+  bed->server->put(0x77, 1234);
   cache->request_allocation();
-  bed.run_for(2 * kSecond);
+  bed->run_for(2 * kSecond);
   ASSERT_TRUE(cache->operational());
 
   bool populated = false;
   cache->populate({{0x77, 1234}}, [&] { populated = true; });
-  bed.run_for(kSecond);
+  bed->run_for(kSecond);
   ASSERT_TRUE(populated);
 
   std::vector<bool> hits;
   cache->on_result = [&](u32, u64, u32, bool hit) { hits.push_back(hit); };
   cache->get(0x77);
-  bed.run_for(kSecond);
+  bed->run_for(kSecond);
   ASSERT_EQ(hits, std::vector<bool>{true});
   hits.clear();
 
   // Power-cycle the switch for 50 ms; SRAM does not survive.
-  const SimTime down = bed.net_.now() + kMillisecond;
+  const SimTime down = bed->net.now() + kMillisecond;
   FaultPlan plan;
   plan.brownouts.push_back(
       Brownout{.node = "switch", .at = down, .duration = 50 * kMillisecond});
-  bed.inject(plan);
-  bed.net_.schedule_on(*bed.switch_, plan.brownouts[0].up_at(),
-                       [&] { bed.switch_->wipe_registers(); });
+  FaultInjector injector(plan);
+  bed->net.set_transmit_hook(&injector);
+  bed->net.schedule_on(*bed->sw, plan.brownouts[0].up_at(),
+                       [&] { bed->sw->wipe_registers(); });
   // A request issued mid-outage is simply lost (no cache-level retry for
   // reads): it must neither hit nor miss.
-  bed.net_.schedule_on(*bed.clients_[0], down + 10 * kMillisecond,
+  bed->net.schedule_on(*bed->clients[0], down + 10 * kMillisecond,
                        [&] { cache->get(0x77); });
-  bed.run_for(kSecond);
-  EXPECT_GT(bed.injector_->injected(FaultKind::kOutage), 0u);
+  bed->run_for(kSecond);
+  EXPECT_GT(injector.injected(FaultKind::kOutage), 0u);
   EXPECT_TRUE(hits.empty());
 
   // The cached entry is gone: same key now misses (served by the server).
   hits.clear();
   cache->get(0x77);
-  bed.run_for(kSecond);
+  bed->run_for(kSecond);
   ASSERT_EQ(hits, std::vector<bool>{false});
 
   // Client-driven re-population restores the hit path.
   populated = false;
   cache->populate({{0x77, 1234}}, [&] { populated = true; });
-  bed.run_for(kSecond);
+  bed->run_for(kSecond);
   ASSERT_TRUE(populated);
   hits.clear();
   cache->get(0x77);
-  bed.run_for(kSecond);
+  bed->run_for(kSecond);
   EXPECT_EQ(hits, std::vector<bool>{true});
 }
 

@@ -15,7 +15,6 @@
 
 #include "alloc/hotness.hpp"
 #include "apps/cache_service.hpp"
-#include "apps/kv.hpp"
 #include "apps/programs.hpp"
 #include "apps/server_node.hpp"
 #include "client/client_node.hpp"
@@ -25,6 +24,7 @@
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
 #include "netsim/network.hpp"
+#include "scenario/scenario.hpp"
 #include "telemetry/heatmap.hpp"
 #include "workload/zipf.hpp"
 
@@ -584,32 +584,6 @@ TEST_F(ControllerMigrateTest, ReslideSkipsWhenTcamHasNoHeadroom) {
 
 // --- end-to-end: the SwitchNode engine -------------------------------------
 
-constexpr packet::MacAddr kSwitchMac = 0x0000aa;
-constexpr packet::MacAddr kServerMac = 0x0000bb;
-constexpr packet::MacAddr kClientMacBase = 0x000100;
-
-struct Digest {
-  u64 h = 1469598103934665603ull;
-  void mix(u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-};
-
-// The migration-parity key: every register word of every stage. Equal
-// digests mean the post-migration state (extract -> reallocate ->
-// repopulate, plus all surviving residents) is byte-identical.
-u64 register_digest(rmt::Pipeline& pipeline) {
-  Digest digest;
-  for (u32 s = 0; s < pipeline.stage_count(); ++s) {
-    rmt::RegisterArray& memory = pipeline.stage(s).memory();
-    for (const Word w : memory.dump(0, memory.size())) digest.mix(w);
-  }
-  return digest.h;
-}
-
 struct MigScenarioOut {
   u64 reg_digest = 0;
   u64 reply_digest = 0;
@@ -617,7 +591,7 @@ struct MigScenarioOut {
   SimTime completed_at = 0;
   controller::SwitchNode::MigrationEngineStats engine;
   u64 late_hits = 0;  // tenant 0 hits after the promote window opened
-  u64 bad_values = 0;  // hits whose value contradicts the seeded server
+  u64 bad_values = 0;  // hits whose value differs from the seeded one
 };
 
 // Two cache tenants; tenant 1 idles mid-run (cold -> demoted) and then
@@ -625,140 +599,71 @@ struct MigScenarioOut {
 // repopulates through the extraction datapath while its traffic keeps
 // flowing. Drivable at any shard count, with an optional fault plan.
 MigScenarioOut run_mig_scenario(u32 shards, const faults::FaultPlan* plan) {
-  netsim::Network net(shards);
+  scenario::Star star(shards, [](netsim::Network& net) {
+    controller::SwitchNode::Config cfg;
+    cfg.costs.table_entry_update = 100 * kMicrosecond;
+    cfg.costs.snapshot_per_block = 1 * kMicrosecond;
+    cfg.costs.clear_per_block = 1 * kMicrosecond;
+    cfg.costs.extraction_timeout = 200 * kMillisecond;
+    cfg.compute_model = alloc::ComputeModel::deterministic();
+    cfg.metrics = &net.metrics(0);
+    cfg.migration.enabled = true;
+    cfg.migration.interval = 50 * kMillisecond;
+    return cfg;
+  });
+  netsim::Network& net = star.net;
   std::unique_ptr<faults::FaultInjector> injector;
   if (plan != nullptr) {
     injector = std::make_unique<faults::FaultInjector>(*plan, shards);
     net.set_transmit_hook(injector.get());
   }
 
-  controller::SwitchNode::Config cfg;
-  cfg.costs.table_entry_update = 100 * kMicrosecond;
-  cfg.costs.snapshot_per_block = 1 * kMicrosecond;
-  cfg.costs.clear_per_block = 1 * kMicrosecond;
-  cfg.costs.extraction_timeout = 200 * kMillisecond;
-  cfg.compute_model = alloc::ComputeModel::deterministic();
-  cfg.metrics = &net.metrics(0);
-  cfg.migration.enabled = true;
-  cfg.migration.interval = 50 * kMillisecond;
-  auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
-  net.attach(sw);
-  net.pin(*sw, 0);
-  auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
-  net.attach(server);
-  net.connect(*sw, 0, *server, 0);
-  sw->bind(kServerMac, 0);
-
   constexpr SimTime kStop = 3 * kSecond;
   constexpr SimTime kPause = 1 * kSecond;
   constexpr SimTime kResume = 2'200 * kMillisecond;
 
-  struct Tenant {
-    std::shared_ptr<client::ClientNode> client;
-    std::shared_ptr<apps::CacheService> cache;
-    workload::ZipfGenerator zipf{2'000, 1.2};
-    Rng rng{0};
-    Digest replies;
-    u64 late_hits = 0;
-    u64 bad_values = 0;
-    SimTime stop_time = 0;
-    std::function<void()> drive;  // self-rescheduling request driver
-  };
-  std::vector<std::unique_ptr<Tenant>> tenants;
+  std::vector<std::unique_ptr<scenario::CacheTenant>> tenants;
   for (u32 i = 0; i < 2; ++i) {
-    auto t = std::make_unique<Tenant>();
-    t->rng = Rng(1000 + i);
-    t->client = std::make_shared<client::ClientNode>(
-        "tenant" + std::to_string(i), kClientMacBase + i, kSwitchMac);
-    net.attach(t->client);
-    net.connect(*sw, i + 1, *t->client, 0);
-    sw->bind(kClientMacBase + i, i + 1);
-    t->cache = std::make_shared<apps::CacheService>(
-        "cache" + std::to_string(i), kServerMac);
-    t->client->register_service(t->cache);
-    tenants.push_back(std::move(t));
+    tenants.push_back(std::make_unique<scenario::CacheTenant>(
+        star.add_client("tenant" + std::to_string(i)), i,
+        scenario::Star::kServerMac, workload::ZipfGenerator(2'000, 1.2),
+        1000 + i, 500 * kMicrosecond));
+    tenants.back()->seed(*star.server);
   }
 
-  const auto key_of = [](u32 tenant, u32 rank) {
-    return (static_cast<u64>(tenant + 1) << 40) ^
-           workload::ZipfGenerator::key_for_rank(rank);
+  u64 late_hits = 0;  // tenant 0 hits after the promote window opened
+  tenants[0]->on_result = [&net, &late_hits](u32, u64, u32, bool hit) {
+    if (hit && net.simulator().now() >= kResume) ++late_hits;
   };
   for (u32 i = 0; i < 2; ++i) {
-    for (u32 rank = 0; rank < tenants[i]->zipf.universe(); ++rank) {
-      server->put(key_of(i, rank), rank + 1);
-    }
-  }
-
-  for (u32 i = 0; i < 2; ++i) {
-    Tenant& t = *tenants[i];
-    t.client->on_passive = [&t](netsim::Frame& frame) {
-      const auto msg = apps::KvMessage::parse(std::span<const u8>(frame).subspan(
-          packet::EthernetHeader::kWireSize));
-      if (msg) t.cache->handle_server_reply(*msg);
+    scenario::CacheTenant& t = *tenants[i];
+    t.cache().on_relocated = [&t] {
+      t.cache().populate(t.hot_set_for_allocation());
     };
-    t.cache->on_result = [&t, &net, i](u32 seq, u64 key, u32 value, bool hit) {
-      const SimTime now = net.simulator().now();
-      if (hit) {
-        // Content-preservation check: a hit must serve the seeded value
-        // (rank + 1), even right after an extract -> repopulate cycle.
-        const u64 base = key ^ (static_cast<u64>(i + 1) << 40);
-        if (value != static_cast<u32>(base & 0xffffffff) &&
-            value == 0) {
-          ++t.bad_values;
-        }
-        if (i == 0 && now >= kResume) ++t.late_hits;
-      }
-      t.replies.mix(static_cast<u64>(now));
-      t.replies.mix(seq);
-      t.replies.mix(key);
-      t.replies.mix(value);
-      t.replies.mix(hit ? 1 : 0);
+    t.cache().on_ready = [&t, i] {
+      t.cache().populate(t.hot_set_for_allocation());
+      t.start_traffic(i == 1 ? kPause : kStop);
     };
-    const auto hot_set = [&t, i, key_of] {
-      const u32 k = std::min(t.cache->bucket_count(), t.zipf.universe());
-      std::vector<std::pair<u64, u32>> out;
-      out.reserve(k);
-      for (u32 rank = k; rank-- > 0;) out.emplace_back(key_of(i, rank), rank + 1);
-      return out;
-    };
-    t.cache->on_relocated = [&t, hot_set] { t.cache->populate(hot_set()); };
-
-    // Self-rescheduling request driver (runs on the client's shard). The
-    // tenant owns it, so the recursive capture is a plain reference --
-    // no shared_ptr cycle for LeakSanitizer to flag.
-    t.drive = [&t, &net, i, key_of] {
-      if (net.simulator().now() >= t.stop_time) return;
-      t.cache->get(key_of(i, t.zipf.next_rank(t.rng)));
-      net.simulator().schedule_after(500 * kMicrosecond, [&t] { t.drive(); });
-    };
-    t.cache->on_ready = [&t, hot_set, i] {
-      t.cache->populate(hot_set());
-      t.stop_time = i == 1 ? kPause : kStop;
-      t.drive();
-    };
-    net.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
-                    [&t] { t.cache->request_allocation(); });
+    net.schedule_on(t.client(), (i + 1) * 100 * kMillisecond,
+                    [&t] { t.cache().request_allocation(); });
     if (i == 1) {
-      net.schedule_on(*t.client, kResume, [&t] {
-        t.stop_time = kStop;
-        t.drive();
-      });
+      net.schedule_on(t.client(), kResume, [&t] { t.start_traffic(kStop); });
     }
   }
 
   net.run_until(kStop + kSecond);
 
   MigScenarioOut out;
-  out.reg_digest = register_digest(sw->pipeline());
+  out.reg_digest = scenario::register_digest(star.sw->pipeline());
   Digest combined;
   for (const auto& t : tenants) {
-    combined.mix(t->replies.h);
-    out.late_hits += t->late_hits;
-    out.bad_values += t->bad_values;
+    combined.mix(t->digest());
+    out.bad_values += t->bad_values();
   }
+  out.late_hits = late_hits;
   out.reply_digest = combined.h;
   out.completed_at = net.now();
-  out.engine = sw->migration_stats();
+  out.engine = star.sw->migration_stats();
   telemetry::MetricsRegistry merged;
   net.merge_metrics_into(merged);
   std::ostringstream os;

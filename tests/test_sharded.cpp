@@ -13,12 +13,10 @@
 #include <tuple>
 #include <vector>
 
-#include "apps/cache_service.hpp"
 #include "apps/hh_service.hpp"
-#include "apps/server_node.hpp"
-#include "client/client_node.hpp"
-#include "controller/switch_node.hpp"
+#include "common/digest.hpp"
 #include "netsim/sharded.hpp"
+#include "scenario/scenario.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "workload/zipf.hpp"
@@ -30,20 +28,6 @@ using netsim::LinkSpec;
 using netsim::Network;
 using netsim::ShardedSimulator;
 using netsim::Simulator;
-
-// --- digest helper --------------------------------------------------------
-
-// FNV-1a over 64-bit words: order-sensitive, so equal digests mean equal
-// event streams in equal order.
-struct Digest {
-  u64 h = 1469598103934665603ull;
-  void mix(u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-};
 
 // --- engine-level fixtures ------------------------------------------------
 
@@ -548,10 +532,6 @@ TEST(Sharded, MergedTelemetryMatchesNetworkCounters) {
 
 // --- end-to-end determinism (the satellite's required scenario) -----------
 
-constexpr packet::MacAddr kSwitchMac = 0x0000aa;
-constexpr packet::MacAddr kServerMac = 0x0000bb;
-constexpr packet::MacAddr kClientMac = 0x000100;
-
 struct ScenarioResult {
   std::string snapshot;  // merged telemetry snapshot JSON
   u64 reply_digest = 0;  // ordered digest of every client-visible reply
@@ -562,30 +542,21 @@ struct ScenarioResult {
 // The artmt_stats scenario (in-network cache + heavy-hitter monitor on
 // one switch) shrunk to test size, drivable on either engine.
 ScenarioResult run_scenario(u32 shards, u32 requests) {
-  Network net(shards);
-
-  controller::SwitchNode::Config cfg;
-  cfg.costs.table_entry_update = 100 * kMicrosecond;
-  cfg.costs.snapshot_per_block = 1 * kMicrosecond;
-  cfg.costs.clear_per_block = 1 * kMicrosecond;
-  cfg.costs.extraction_timeout = 200 * kMillisecond;
-  // Wall-clock allocator timing would make the virtual timeline (and the
-  // snapshot) host-load dependent; the determinism assertions need the
-  // modeled form.
-  cfg.compute_model = alloc::ComputeModel::deterministic();
-  cfg.metrics = &net.metrics(0);  // the switch lives on shard 0
-  auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
-  auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
-  auto client = std::make_shared<client::ClientNode>("client", kClientMac,
-                                                     kSwitchMac);
-  net.attach(sw);
-  net.attach(server);
-  net.attach(client);
-  net.pin(*sw, 0);
-  net.connect(*sw, 0, *server, 0);
-  net.connect(*sw, 1, *client, 0);
-  sw->bind(kServerMac, 0);
-  sw->bind(kClientMac, 1);
+  scenario::Star star(shards, [](Network& net) {
+    controller::SwitchNode::Config cfg;
+    cfg.costs.table_entry_update = 100 * kMicrosecond;
+    cfg.costs.snapshot_per_block = 1 * kMicrosecond;
+    cfg.costs.clear_per_block = 1 * kMicrosecond;
+    cfg.costs.extraction_timeout = 200 * kMillisecond;
+    // Wall-clock allocator timing would make the virtual timeline (and
+    // the snapshot) host-load dependent; the determinism assertions need
+    // the modeled form.
+    cfg.compute_model = alloc::ComputeModel::deterministic();
+    cfg.metrics = &net.metrics(0);  // the switch lives on shard 0
+    return cfg;
+  });
+  Network& net = star.net;
+  client::ClientNode& client = star.add_client("client");
 
   workload::ZipfGenerator zipf(2'000, 1.2);
   Rng rng(42);
@@ -593,17 +564,14 @@ ScenarioResult run_scenario(u32 shards, u32 requests) {
     return workload::ZipfGenerator::key_for_rank(rank);
   };
   for (u32 rank = 0; rank < zipf.universe(); ++rank) {
-    server->put(key_of(rank), rank + 1);
+    star.server->put(key_of(rank), rank + 1);
   }
 
   Digest replies;
-  auto cache = std::make_shared<apps::CacheService>("cache", kServerMac);
-  client->register_service(cache);
-  client->on_passive = [&](netsim::Frame& frame) {
-    const auto msg = apps::KvMessage::parse(std::span<const u8>(frame).subspan(
-        packet::EthernetHeader::kWireSize));
-    if (msg) cache->handle_server_reply(*msg);
-  };
+  auto cache = std::make_shared<apps::CacheService>(
+      "cache", scenario::Star::kServerMac);
+  client.register_service(cache);
+  scenario::route_cache_replies(client, *cache);
   cache->on_result = [&](u32 seq, u64 key, u32 value, bool hit) {
     replies.mix(static_cast<u64>(net.simulator().now()));
     replies.mix(seq);
@@ -612,9 +580,9 @@ ScenarioResult run_scenario(u32 shards, u32 requests) {
     replies.mix(hit ? 1 : 0);
   };
 
-  auto monitor =
-      std::make_shared<apps::FrequentItemService>("monitor", kServerMac);
-  client->register_service(monitor);
+  auto monitor = std::make_shared<apps::FrequentItemService>(
+      "monitor", scenario::Star::kServerMac);
+  client.register_service(monitor);
 
   // Self-rescheduling drivers: after the kick-off they always run on the
   // client's shard, so net.simulator() resolves to that shard's queue.
@@ -653,7 +621,7 @@ ScenarioResult run_scenario(u32 shards, u32 requests) {
   monitor->on_ready = [&] { observe_next(requests); };
 
   cache->request_allocation();
-  net.schedule_on(*client, kSecond, [&] { monitor->request_allocation(); });
+  net.schedule_on(client, kSecond, [&] { monitor->request_allocation(); });
 
   net.run();
 

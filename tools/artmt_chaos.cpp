@@ -72,10 +72,12 @@
 #include "apps/lb_service.hpp"
 #include "apps/server_node.hpp"
 #include "client/client_node.hpp"
+#include "common/digest.hpp"
 #include "controller/switch_node.hpp"
 #include "fabric/topology.hpp"
 #include "faults/injector.hpp"
 #include "netsim/sharded.hpp"
+#include "scenario/scenario.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
@@ -86,23 +88,11 @@ using namespace artmt;
 
 namespace {
 
-constexpr packet::MacAddr kSwitchMac = 0x0000aa;
-constexpr packet::MacAddr kServerMac = 0x0000bb;
+constexpr packet::MacAddr kServerMac = scenario::Star::kServerMac;
 constexpr packet::MacAddr kBackend1Mac = 0xdd01;
 constexpr packet::MacAddr kBackend2Mac = 0xdd02;
-constexpr packet::MacAddr kClientMac = 0x000100;
+constexpr packet::MacAddr kClientMac = scenario::Star::kClientMacBase;
 constexpr u32 kFlows = 8;
-
-// FNV-1a over 64-bit words (order-sensitive).
-struct Digest {
-  u64 h = 1469598103934665603ull;
-  void mix(u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-};
 
 struct ChaosConfig {
   u32 requests = 2000;
@@ -168,12 +158,6 @@ faults::FaultPlan chaos_plan(const ChaosConfig& config, SimTime window_start,
 RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
                        const ChaosConfig& config,
                        telemetry::TraceSink* sink) {
-  netsim::Network net(shards);
-  if (sink != nullptr) {
-    sink->set_clock([&net] { return net.now(); });
-    telemetry::set_trace_sink(sink);
-  }
-
   // Timeline (see header): setup, then a workload window the fault plan
   // overlaps, then recovery.
   const SimTime workload_start = 300 * kMillisecond;
@@ -186,10 +170,17 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
   cfg.costs.clear_per_block = 1 * kMicrosecond;
   cfg.compute_model = alloc::ComputeModel::deterministic();
 
-  std::shared_ptr<controller::SwitchNode> sw;          // single mode
-  std::unique_ptr<fabric::Topology> topo;              // leaf-spine mode
-  packet::MacAddr control_target = kSwitchMac;
+  // Single mode: the star, with the backends on switch ports 8 and 9.
+  // Leaf-spine mode: the same hosts on a fabric over a bare network.
+  std::unique_ptr<scenario::Star> star;
+  std::unique_ptr<netsim::Network> fabric_net;
+  std::unique_ptr<fabric::Topology> topo;
+  auto backend1 = std::make_shared<apps::ServerNode>("backend1", kBackend1Mac);
+  auto backend2 = std::make_shared<apps::ServerNode>("backend2", kBackend2Mac);
+  std::shared_ptr<apps::ServerNode> server;
+  client::ClientNode* client = nullptr;
   if (config.leaf_spine) {
+    fabric_net = std::make_unique<netsim::Network>(shards);
     fabric::TopologyConfig tcfg;
     tcfg.leaves = 2;
     tcfg.spines = 1;
@@ -200,23 +191,15 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
     // owns that), so the death threshold must outlast the brownout.
     tcfg.controller.miss_threshold =
         static_cast<u32>((window / 16) / tcfg.controller.epoch) + 4;
-    topo = std::make_unique<fabric::Topology>(net, tcfg);
-    control_target = topo->controller_mac();
-  } else {
-    cfg.metrics = &net.metrics(0);
-    sw = std::make_shared<controller::SwitchNode>("switch", cfg);
-    net.attach(sw);
-  }
-  auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
-  auto backend1 = std::make_shared<apps::ServerNode>("backend1", kBackend1Mac);
-  auto backend2 = std::make_shared<apps::ServerNode>("backend2", kBackend2Mac);
-  auto client = std::make_shared<client::ClientNode>("client", kClientMac,
-                                                     control_target);
-  net.attach(server);
-  net.attach(backend1);
-  net.attach(backend2);
-  net.attach(client);
-  if (topo) {
+    topo = std::make_unique<fabric::Topology>(*fabric_net, tcfg);
+    server = std::make_shared<apps::ServerNode>("server", kServerMac);
+    auto fabric_client = std::make_shared<client::ClientNode>(
+        "client", kClientMac, topo->controller_mac());
+    client = fabric_client.get();
+    fabric_net->attach(server);
+    fabric_net->attach(backend1);
+    fabric_net->attach(backend2);
+    fabric_net->attach(std::move(fabric_client));
     // Client on leaf0, server on leaf1 (service traffic crosses the
     // spine). The backends are dual-homed at matching port numbers --
     // host ports 2 and 3 on BOTH leaves -- so the LB's VIP pool of
@@ -228,15 +211,21 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
     topo->attach_host(*backend1, 1, 1, kBackend1Mac);  // leaf1 port 2
     topo->attach_host(*backend2, 1, 1, kBackend2Mac);  // leaf1 port 3
   } else {
-    net.connect(*sw, 0, *server, 0);
-    net.connect(*sw, 8, *backend1, 0);
-    net.connect(*sw, 9, *backend2, 0);
-    net.connect(*sw, 1, *client, 0);
-    sw->bind(kServerMac, 0);
-    sw->bind(kBackend1Mac, 8);
-    sw->bind(kBackend2Mac, 9);
-    sw->bind(kClientMac, 1);
-    net.pin(*sw, 0);
+    star = std::make_unique<scenario::Star>(
+        shards, [&cfg](netsim::Network& net) {
+          controller::SwitchNode::Config star_cfg = cfg;
+          star_cfg.metrics = &net.metrics(0);
+          return star_cfg;
+        });
+    server = star->server;
+    star->attach_host(backend1, 8, kBackend1Mac);
+    star->attach_host(backend2, 9, kBackend2Mac);
+    client = &star->add_client("client");
+  }
+  netsim::Network& net = star ? star->net : *fabric_net;
+  if (sink != nullptr) {
+    sink->set_clock([&net] { return net.now(); });
+    telemetry::set_trace_sink(sink);
   }
 
   std::unique_ptr<faults::FaultInjector> injector;
@@ -245,7 +234,7 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
     net.set_transmit_hook(injector.get());
     // The up-edge of a brownout is a power cycle: SRAM is gone. Table and
     // allocator state live on the controller and persist.
-    controller::SwitchNode* wiped = topo ? &topo->leaf(0) : sw.get();
+    controller::SwitchNode* wiped = topo ? &topo->leaf(0) : star->sw.get();
     for (const faults::Brownout& brownout : plan->brownouts) {
       net.schedule_on(*wiped, brownout.up_at(),
                       [wiped] { wiped->wipe_registers(); });
@@ -387,9 +376,10 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
                   cache->populate_reliability().outstanding() == 0;
 
   // In fabric mode each service's registers live on whichever leaf the
-  // global controller placed it; in single mode everything is on `sw`.
+  // global controller placed it; in single mode everything is on the
+  // star's switch.
   auto pipeline_of = [&](Fid fid) -> rmt::Pipeline& {
-    if (!topo) return sw->pipeline();
+    if (!topo) return star->sw->pipeline();
     const packet::MacAddr owner = topo->controller().owner_of(fid);
     for (u32 i = 0; i < topo->leaves(); ++i) {
       if (topo->leaf_mac(i) == owner) return topo->leaf(i).pipeline();

@@ -78,6 +78,7 @@
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
 #include "netsim/sharded.hpp"
+#include "scenario/scenario.hpp"
 #include "telemetry/heatmap.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
@@ -257,72 +258,30 @@ int run_fabric_report(u32 shards) {
   // service i on leaf i), so its service is the evacuation victim.
   const std::vector<u32> client_leaf = {1, 2, 3, 1};
   const u32 n = static_cast<u32>(client_leaf.size());
-  struct Tenant {
-    std::shared_ptr<client::ClientNode> client;
-    std::shared_ptr<apps::CacheService> cache;
-    workload::ZipfGenerator zipf{512, 1.2};
-    Rng rng{0};
-    u64 hits = 0;
-    u64 misses = 0;
-    SimTime stop_time = 0;
-    std::function<void()> drive;
-  };
-  std::vector<std::unique_ptr<Tenant>> tenants;
-  const auto key_of = [](u32 tenant, u32 rank) {
-    return (static_cast<u64>(tenant + 1) << 40) ^
-           workload::ZipfGenerator::key_for_rank(rank);
-  };
+  std::vector<std::unique_ptr<scenario::CacheTenant>> tenants;
   constexpr SimTime kStop = 1'200 * kMillisecond;
   const SimTime drive_stop = kStop - 300 * kMillisecond;
   for (u32 i = 0; i < n; ++i) {
-    auto t = std::make_unique<Tenant>();
-    t->rng = Rng(1000 + i);
-    t->client = std::make_shared<client::ClientNode>(
+    auto client = std::make_shared<client::ClientNode>(
         "tenant" + std::to_string(i), kFabClientBase + i,
         topo.controller_mac());
-    net.attach(t->client);
-    topo.attach_host(*t->client, 0, client_leaf[i], kFabClientBase + i);
-    net.pin(*t->client, client_leaf[i] % workers);
-    t->cache = std::make_shared<apps::CacheService>(
-        "cache" + std::to_string(i), kFabServerMac);
-    t->client->register_service(t->cache);
-    tenants.push_back(std::move(t));
-    for (u32 rank = 0; rank < tenants.back()->zipf.universe(); ++rank) {
-      server->put(key_of(i, rank), rank + 1);
-    }
-  }
-  for (u32 i = 0; i < n; ++i) {
-    Tenant& t = *tenants[i];
-    t.client->on_passive = [&t](netsim::Frame& frame) {
-      const auto msg = apps::KvMessage::parse(
-          std::span<const u8>(frame).subspan(
-              packet::EthernetHeader::kWireSize));
-      if (msg) t.cache->handle_server_reply(*msg);
+    net.attach(client);
+    topo.attach_host(*client, 0, client_leaf[i], kFabClientBase + i);
+    net.pin(*client, client_leaf[i] % workers);
+    tenants.push_back(std::make_unique<scenario::CacheTenant>(
+        *client, i, kFabServerMac, workload::ZipfGenerator(512, 1.2),
+        1000 + i, 500 * kMicrosecond));
+    scenario::CacheTenant& t = *tenants.back();
+    t.seed(*server);
+    t.cache().on_relocated = [&t] {
+      t.cache().populate(t.hot_set_for_allocation());
     };
-    t.cache->on_result = [&t](u32, u64, u32, bool hit) {
-      (hit ? t.hits : t.misses)++;
+    t.cache().on_ready = [&t, drive_stop] {
+      t.cache().populate(t.hot_set_for_allocation());
+      t.start_traffic(drive_stop);
     };
-    const auto hot_set = [&t, i, key_of] {
-      const u32 k = std::min(t.cache->bucket_count(), t.zipf.universe());
-      std::vector<std::pair<u64, u32>> out;
-      out.reserve(k);
-      for (u32 rank = k; rank-- > 0;)
-        out.emplace_back(key_of(i, rank), rank + 1);
-      return out;
-    };
-    t.cache->on_relocated = [&t, hot_set] { t.cache->populate(hot_set()); };
-    t.drive = [&t, &net, i, key_of] {
-      if (net.simulator().now() >= t.stop_time) return;
-      t.cache->get(key_of(i, t.zipf.next_rank(t.rng)));
-      net.simulator().schedule_after(500 * kMicrosecond, [&t] { t.drive(); });
-    };
-    t.cache->on_ready = [&t, hot_set, drive_stop] {
-      t.cache->populate(hot_set());
-      t.stop_time = drive_stop;
-      t.drive();
-    };
-    net.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
-                    [&t] { t.cache->request_allocation(); });
+    net.schedule_on(*client, (i + 1) * 100 * kMillisecond,
+                    [&t] { t.cache().request_allocation(); });
   }
 
   topo.start(1 * kMillisecond, kStop);
@@ -342,7 +301,7 @@ int run_fabric_report(u32 shards) {
   // capsules are steered to the owner, misses fall through to the origin.
   const auto on_path = [&](u32 tenant) {
     const packet::MacAddr owner =
-        topo.controller().owner_of(tenants[tenant]->cache->fid());
+        topo.controller().owner_of(tenants[tenant]->cache().fid());
     return owner == topo.leaf_mac(client_leaf[tenant]) ||
            owner == topo.leaf_mac(2);  // server leaf
   };
@@ -351,15 +310,15 @@ int run_fabric_report(u32 shards) {
                "%u tenants, leaf0 killed at 0.5s)\n",
                net.now() / 1e9, topo.leaves(), topo.spines(), n);
   for (u32 i = 0; i < n; ++i) {
-    const Tenant& t = *tenants[i];
+    const scenario::CacheTenant& t = *tenants[i];
     std::fprintf(stderr,
                  "  tenant%u: fid %u on %s (%s), %llu hits / %llu misses%s\n",
-                 i, t.cache->fid(),
-                 leaf_of(topo.controller().owner_of(t.cache->fid())).c_str(),
+                 i, t.cache().fid(),
+                 leaf_of(topo.controller().owner_of(t.cache().fid())).c_str(),
                  on_path(i) ? "on-path" : "off-path: origin serves queries",
-                 static_cast<unsigned long long>(t.hits),
-                 static_cast<unsigned long long>(t.misses),
-                 t.cache->operational() ? "" : " [NOT OPERATIONAL]");
+                 static_cast<unsigned long long>(t.hits()),
+                 static_cast<unsigned long long>(t.misses()),
+                 t.cache().operational() ? "" : " [NOT OPERATIONAL]");
   }
 
   std::printf("{\n");
@@ -385,7 +344,7 @@ int run_fabric_report(u32 shards) {
       downtime_percentile_ms(report.downtimes, 1.0));
   std::printf("  \"owners\": [");
   for (u32 i = 0; i < n; ++i) {
-    const Fid fid = tenants[i]->cache->fid();
+    const Fid fid = tenants[i]->cache().fid();
     std::printf("%s{\"tenant\": %u, \"fid\": %u, \"owner\": \"%s\"}",
                 i == 0 ? "" : ", ", i, fid,
                 leaf_of(topo.controller().owner_of(fid)).c_str());
@@ -470,8 +429,21 @@ int main(int argc, char** argv) {
   }
 
   // Each shard owns a registry (the serial engine is one shard); they
-  // are merged -- plus any per-shard engine stats -- after the run.
-  netsim::Network net(shards);
+  // are merged -- plus any per-shard engine stats -- after the run. The
+  // switch lives on shard 0 (fleets round-robin over shards 1..N-1); its
+  // components record there. Modeled compute makes the timeline -- and
+  // therefore the snapshot -- reproducible on either engine and for any
+  // shard count.
+  scenario::Star star(shards, [migration_report](netsim::Network& net) {
+    controller::SwitchNode::Config cfg;
+    cfg.migration.enabled = migration_report;
+    cfg.metrics = &net.metrics(0);
+    cfg.compute_model = alloc::ComputeModel::deterministic();
+    return cfg;
+  });
+  netsim::Network& net = star.net;
+  const auto& sw = star.sw;
+  client::ClientNode& client = star.add_client("client");
 
   // Span capture: one lane per shard worker; the canonical sorted dump is
   // engine- and shard-invariant.
@@ -494,25 +466,6 @@ int main(int argc, char** argv) {
     telemetry::set_trace_sink(sink.get());
   }
 
-  controller::SwitchNode::Config cfg;
-  if (migration_report) cfg.migration.enabled = true;
-  // The switch lives on shard 0; its components record there. Modeled
-  // compute makes the timeline -- and therefore the snapshot --
-  // reproducible on either engine and for any shard count.
-  cfg.metrics = &net.metrics(0);
-  cfg.compute_model = alloc::ComputeModel::deterministic();
-  auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
-  auto server = std::make_shared<apps::ServerNode>("server", 0xbb);
-  auto client = std::make_shared<client::ClientNode>("client", 0x100, 0xaa);
-  net.attach(sw);
-  net.attach(server);
-  net.attach(client);
-  net.connect(*sw, 0, *server, 0);
-  net.connect(*sw, 1, *client, 0);
-  sw->bind(0xbb, 0);
-  sw->bind(0x100, 1);
-  net.pin(*sw, 0);  // fleets round-robin over shards 1..N-1
-
   // Optional uniform loss: the reliability trackers ride through it and
   // the injected-fault counters join the snapshot.
   std::unique_ptr<faults::FaultInjector> injector;
@@ -528,17 +481,13 @@ int main(int argc, char** argv) {
     return workload::ZipfGenerator::key_for_rank(rank);
   };
   for (u32 rank = 0; rank < zipf.universe(); ++rank) {
-    server->put(key_of(rank), rank + 1);
+    star.server->put(key_of(rank), rank + 1);
   }
 
   // Service 1: the in-network cache (GET traffic, RTS hits).
   auto cache = std::make_shared<apps::CacheService>("cache", 0xbb);
-  client->register_service(cache);
-  client->on_passive = [&cache](netsim::Frame& frame) {
-    const auto msg = apps::KvMessage::parse(std::span<const u8>(frame).subspan(
-        packet::EthernetHeader::kWireSize));
-    if (msg) cache->handle_server_reply(*msg);
-  };
+  client.register_service(cache);
+  scenario::route_cache_replies(client, *cache);
   u64 hits = 0;
   u64 misses = 0;
   cache->on_result = [&](u32, u64, u32, bool hit) { (hit ? hits : misses)++; };
@@ -546,7 +495,7 @@ int main(int argc, char** argv) {
   // Service 2: the heavy-hitter monitor (observe traffic, extraction,
   // then release -- exercising the controller's departure path too).
   auto monitor = std::make_shared<apps::FrequentItemService>("monitor", 0xbb);
-  client->register_service(monitor);
+  client.register_service(monitor);
   std::size_t heavy_hitters = 0;
 
   // The recursive drivers schedule through net.simulator(), which
@@ -583,7 +532,7 @@ int main(int argc, char** argv) {
   cache->request_allocation();
   // The monitor's kick-off touches the client node, so it runs on the
   // client's shard.
-  net.schedule_on(*client, kSecond, [&] { monitor->request_allocation(); });
+  net.schedule_on(client, kSecond, [&] { monitor->request_allocation(); });
   net.run();
   const SimTime end_time = net.now();
 
