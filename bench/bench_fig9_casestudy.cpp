@@ -99,20 +99,11 @@ void fig9b() {
       add_tenants(star, 4, /*universe=*/500'000, /*alpha=*/0.8);
   constexpr SimTime kStop = 30 * kSecond;
 
+  // Each tenant repopulates to its (smaller) new allocation when
+  // squeezed.
   for (u32 i = 0; i < 4; ++i) {
-    CacheTenant& tenant = *tenants[i];
-    tenant.set_window(250 * kMillisecond);
-    star.net.simulator().schedule_at(i * 5 * kSecond, [&tenant, kStop] {
-      tenant.cache().on_ready = [&tenant, kStop] {
-        tenant.cache().populate(tenant.hot_set_for_allocation());
-        tenant.start_traffic(kStop);
-      };
-      // Repopulate to the (smaller) new allocation when squeezed.
-      tenant.cache().on_relocated = [&tenant] {
-        tenant.cache().populate(tenant.hot_set_for_allocation());
-      };
-      tenant.cache().request_allocation();
-    });
+    tenants[i]->set_window(250 * kMillisecond);
+    tenants[i]->join(i * 5 * kSecond, kStop);
   }
   star.net.run_until(kStop);
 

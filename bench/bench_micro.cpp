@@ -844,9 +844,7 @@ struct ChaosSoak {
 
 ChaosSoak run_chaos_soak() {
   controller::SwitchNode::Config cfg;
-  cfg.costs.table_entry_update = 100 * kMicrosecond;
-  cfg.costs.snapshot_per_block = 1 * kMicrosecond;
-  cfg.costs.clear_per_block = 1 * kMicrosecond;
+  cfg.costs = scenario::shrunk_costs();
   scenario::Star star(0, cfg);
   netsim::Network& net = star.net;
   netsim::Simulator& sim = net.simulator();

@@ -274,13 +274,6 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
     scenario::CacheTenant& t = *tenants.back();
     t.seed(*star.server);
     t.set_window(50 * kMillisecond);
-    t.cache().on_relocated = [&t, &moved = moves[i],
-                              &repopulate = repopulate_on_move[i]] {
-      moved.push_back(t.windows().size());
-      // An idle tenant does not repopulate: there is no traffic to serve,
-      // and the write-back would read as recovered hotness.
-      if (repopulate) t.cache().populate(t.hot_set_for_allocation());
-    };
   }
 
   // Allocation + traffic timeline. Tenants 1 and 2 pause mid-run (going
@@ -291,12 +284,14 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
     const SimTime first_stop =
         i == 1 ? knobs.pause1
                : (i == 2 && knobs.resume2 > 0 ? knobs.pause2 : knobs.stop);
-    t.cache().on_ready = [&t, first_stop] {
-      t.cache().populate(t.hot_set_for_allocation());
-      t.start_traffic(first_stop);
+    t.join((i + 1) * 100 * kMillisecond, first_stop);
+    t.cache().on_relocated = [&t, &moved = moves[i],
+                              &repopulate = repopulate_on_move[i]] {
+      moved.push_back(t.windows().size());
+      // An idle tenant does not repopulate: there is no traffic to serve,
+      // and the write-back would read as recovered hotness.
+      if (repopulate) t.cache().populate(t.hot_set_for_allocation());
     };
-    net.schedule_on(t.client(), (i + 1) * 100 * kMillisecond,
-                    [&t] { t.cache().request_allocation(); });
   }
   const auto idle_cycle = [&](u32 i, SimTime pause, SimTime resume) {
     scenario::CacheTenant& t = *tenants[i];

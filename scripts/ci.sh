@@ -201,13 +201,21 @@ run_golden_outputs() {
   cmake --build --preset default
   # Every run below is deterministic (modeled allocator compute, virtual
   # time), so its output must match the committed file byte for byte: the
-  # artmt_stats serial and --fabric snapshots, the artmt_chaos per-run
-  # digest lines (stderr) on both topologies, and the six examples.
+  # artmt_stats serial and --fabric snapshots (the latter at shard counts
+  # 1, 2 and 4 against one file), the artmt_chaos per-run digest lines
+  # (stderr) on both topologies, bench_fabric's quick-mode report, and the
+  # six examples.
   local out
   out="$(mktemp -d)"
   ./build/tools/artmt_stats >"$out/artmt_stats.json" 2>/dev/null
   ./build/tools/artmt_stats --fabric >"$out/artmt_stats_fabric.json" \
       2>/dev/null
+  for shards in 2 4; do
+    ./build/tools/artmt_stats --fabric --shards "$shards" \
+        >"$out/artmt_stats_fabric_shards$shards.json" 2>/dev/null
+  done
+  ARTMT_BENCH_QUICK=1 ./build/bench/bench_fabric \
+      >"$out/bench_fabric_quick.out" 2>/dev/null
   ./build/tools/artmt_chaos >/dev/null 2>"$out/artmt_chaos.err"
   ./build/tools/artmt_chaos --topology leaf-spine >/dev/null \
       2>"$out/artmt_chaos_leaf_spine.err"
@@ -219,6 +227,14 @@ run_golden_outputs() {
   for golden in tests/golden/*; do
     if ! diff -u "$golden" "$out/$(basename "$golden")"; then
       echo "golden-outputs: $(basename "$golden") differs from $golden" >&2
+      failed=1
+    fi
+  done
+  for shards in 2 4; do
+    if ! diff -u tests/golden/artmt_stats_fabric.json \
+        "$out/artmt_stats_fabric_shards$shards.json"; then
+      echo "golden-outputs: artmt_stats --fabric --shards $shards differs" \
+          "from tests/golden/artmt_stats_fabric.json" >&2
       failed=1
     fi
   done

@@ -64,6 +64,8 @@ struct FabricReport {
   u64 switch_deaths = 0;
   u64 revivals = 0;
   std::vector<SimTime> downtimes;  // per re-placed service: death -> grant
+
+  friend bool operator==(const FabricReport&, const FabricReport&) = default;
 };
 
 class GlobalController : public netsim::Node {

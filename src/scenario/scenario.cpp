@@ -7,6 +7,14 @@
 
 namespace artmt::scenario {
 
+controller::CostModel shrunk_costs() {
+  controller::CostModel costs;
+  costs.table_entry_update = 100 * kMicrosecond;
+  costs.snapshot_per_block = 1 * kMicrosecond;
+  costs.clear_per_block = 1 * kMicrosecond;
+  return costs;
+}
+
 Star::Star(u32 shards, const ConfigFor& config)
     : net(shards),
       sw(std::make_shared<controller::SwitchNode>("switch", config(net))),
@@ -37,6 +45,35 @@ void Star::attach_host(std::shared_ptr<netsim::Node> node, u32 port,
 }
 
 void Star::run_for(SimTime duration) { net.run_until(net.now() + duration); }
+
+fabric::TopologyConfig LeafSpine::config() {
+  fabric::TopologyConfig config;
+  config.switch_config.costs = shrunk_costs();
+  config.switch_config.costs.extraction_timeout = 50 * kMillisecond;
+  config.switch_config.compute_model = alloc::ComputeModel::deterministic();
+  return config;
+}
+
+LeafSpine::LeafSpine(u32 shards, const fabric::TopologyConfig& config,
+                     u32 server_leaf)
+    : net(shards),
+      topo(net, config),
+      server(std::make_shared<apps::ServerNode>("server", kServerMac)) {
+  net.attach(server);
+  topo.attach_host(*server, 0, server_leaf, kServerMac);
+  net.pin(*server, server_leaf % net.shards());
+}
+
+client::ClientNode& LeafSpine::add_client(std::string name, u32 leaf) {
+  const auto k = static_cast<u32>(clients.size());
+  auto client = std::make_shared<client::ClientNode>(
+      std::move(name), kClientMacBase + k, topo.controller_mac());
+  net.attach(client);
+  topo.attach_host(*client, 0, leaf, kClientMacBase + k);
+  net.pin(*client, leaf % net.shards());
+  clients.push_back(std::move(client));
+  return *clients.back();
+}
 
 void route_cache_replies(client::ClientNode& client,
                          apps::CacheService& cache) {
@@ -102,6 +139,18 @@ std::vector<std::pair<u64, u32>> CacheTenant::hot_set_for_allocation() const {
 void CacheTenant::start_traffic(SimTime stop) {
   stop_ = stop;
   tick();
+}
+
+void CacheTenant::join(SimTime at, SimTime stop) {
+  cache_->on_relocated = [this] {
+    cache_->populate(hot_set_for_allocation());
+  };
+  cache_->on_ready = [this, stop] {
+    cache_->populate(hot_set_for_allocation());
+    start_traffic(stop);
+  };
+  client_->network().schedule_on(*client_, at,
+                                 [this] { cache_->request_allocation(); });
 }
 
 // Always through network().simulator(): it resolves to the client's shard

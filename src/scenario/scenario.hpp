@@ -1,15 +1,21 @@
 // Scenario building blocks: the single-switch testbed of the paper's
-// case study (Section 6.3, Figs. 9-10) and the cache tenant that runs on
-// it -- or on a leaf of fabric::Topology. Tests, benches, tools and
-// examples build their runs from these instead of wiring nodes by hand,
-// so every run of the scenario shares one set of conventions (MACs,
-// ports, attach order, key spaces, reply digests).
+// case study (Section 6.3, Figs. 9-10), its leaf-spine twin, and the
+// cache tenant that runs on either. Tests, benches, tools and examples
+// build their runs from these instead of wiring nodes by hand, so every
+// run of the scenario shares one set of conventions (MACs, ports, attach
+// order, key spaces, reply digests).
 //
 // Conventions (see docs/ARCHITECTURE.md, "Scenario building blocks"):
-//   switch  "switch", attach index 0, pinned to shard 0; clients address
-//           control capsules to kSwitchMac.
-//   server  "server", kServerMac, switch port 0, attach index 1.
-//   client  k-th add_client(): switch port k + 1, MAC kClientMacBase + k.
+//   Star       switch "switch", attach index 0, pinned to shard 0;
+//              clients address control capsules to kSwitchMac. Server
+//              "server", kServerMac, switch port 0, attach index 1. The
+//              k-th add_client(): switch port k + 1, MAC kClientMacBase + k.
+//   LeafSpine  fabric::Topology's nodes first; server "server",
+//              kServerMac, on its leaf, attached next. The k-th
+//              add_client(name, leaf): MAC kClientMacBase + k, control
+//              capsules to the global controller, the next host port of
+//              `leaf` (host ports count up from `spines`), pinned to
+//              shard leaf % shards.
 // Hosts attach in call order, so attach indices (and with them fault
 // keys and span ids) follow the order of the builder calls.
 #pragma once
@@ -25,12 +31,20 @@
 #include "client/client_node.hpp"
 #include "common/digest.hpp"
 #include "common/rng.hpp"
+#include "controller/cost_model.hpp"
 #include "controller/switch_node.hpp"
+#include "fabric/topology.hpp"
 #include "netsim/network.hpp"
 #include "rmt/pipeline.hpp"
 #include "workload/zipf.hpp"
 
 namespace artmt::scenario {
+
+// Control-plane costs shrunk so multi-tenant runs converge in
+// milliseconds of virtual time, with realistic ratios (table updates
+// dominate): 100 us per table entry, 1 us per snapshot or cleared block.
+// Every other cost, extraction_timeout included, keeps its default.
+[[nodiscard]] controller::CostModel shrunk_costs();
 
 // One switch, the authoritative server on port 0, clients on ports 1, 2,
 // ... -- the star every single-switch run uses.
@@ -69,6 +83,39 @@ class Star {
   std::vector<std::shared_ptr<client::ClientNode>> clients;
 };
 
+// The leaf-spine twin of Star: fabric::Topology (leaves, spines, the
+// global controller), the authoritative server on one leaf, clients on
+// any leaf. `topo` stays open for hosts with a second uplink:
+// `topo.attach_host(node, 1, leaf, mac)` adds a backup.
+class LeafSpine {
+ public:
+  static constexpr packet::MacAddr kServerMac = 0x5E00;
+  static constexpr packet::MacAddr kClientMacBase = 0xC100;
+
+  // TopologyConfig's fabric (4 leaves, 2 spines, 2-ms health epochs,
+  // death after 3 silent ones) with every switch on shrunk_costs(), a
+  // 50-ms extraction timeout and modeled allocator compute.
+  [[nodiscard]] static fabric::TopologyConfig config();
+
+  // Builds the fabric on a Network(shards) and attaches the server on
+  // `server_leaf`, pinned to that leaf's shard.
+  LeafSpine(u32 shards, const fabric::TopologyConfig& config,
+            u32 server_leaf);
+
+  LeafSpine(const LeafSpine&) = delete;
+  LeafSpine& operator=(const LeafSpine&) = delete;
+
+  // Attaches the next client on `leaf`: MAC kClientMacBase + k, control
+  // capsules addressed to the global controller, pinned to the leaf's
+  // shard.
+  client::ClientNode& add_client(std::string name, u32 leaf);
+
+  netsim::Network net;
+  fabric::Topology topo;
+  std::shared_ptr<apps::ServerNode> server;
+  std::vector<std::shared_ptr<client::ClientNode>> clients;
+};
+
 // Routes server replies arriving on `client`'s passive path to `cache`
 // (misses come back as plain KV frames, not capsules).
 void route_cache_replies(client::ClientNode& client, apps::CacheService& cache);
@@ -82,7 +129,8 @@ u64 register_digest(rmt::Pipeline& pipeline);
 // space private to tenant `index`. Hit/miss bookkeeping, the reply
 // digest and the windowed hit-rate series are kept per tenant, on the
 // client's shard; callers chain their own counters through on_result.
-// on_ready and on_relocated stay the caller's to set.
+// join() installs the case-study lifecycle; a caller that needs another
+// on_ready or on_relocated sets it after join (or instead of it).
 class CacheTenant {
  public:
   CacheTenant(client::ClientNode& client, u32 index,
@@ -108,6 +156,12 @@ class CacheTenant {
 
   // Issues GETs until the client's clock reaches `stop`.
   void start_traffic(SimTime stop);
+
+  // The case-study lifecycle: requests an allocation at `at` on the
+  // client's shard; once it is ready, populates the hot set and issues
+  // GETs until `stop`; on every relocation, repopulates the hot set for
+  // the new allocation.
+  void join(SimTime at, SimTime stop);
 
   // Windowed hit rate: one (window start in s, hit rate) point per
   // `window` of results (default 100 ms).

@@ -34,9 +34,7 @@ std::unique_ptr<Star> make_bed(
     u32 clients = 1, alloc::Scheme scheme = alloc::Scheme::kWorstFit) {
   SwitchNode::Config cfg;
   cfg.scheme = scheme;
-  cfg.costs.table_entry_update = 100 * kMicrosecond;
-  cfg.costs.snapshot_per_block = 1 * kMicrosecond;
-  cfg.costs.clear_per_block = 1 * kMicrosecond;
+  cfg.costs = scenario::shrunk_costs();
   cfg.costs.extraction_timeout = 200 * kMillisecond;
   auto bed = std::make_unique<Star>(0, cfg);
   for (u32 i = 0; i < clients; ++i) {

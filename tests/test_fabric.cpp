@@ -14,9 +14,7 @@
 
 #include "apps/cache_service.hpp"
 #include "apps/programs.hpp"
-#include "apps/server_node.hpp"
 #include "client/client_node.hpp"
-#include "common/rng.hpp"
 #include "controller/switch_node.hpp"
 #include "fabric/global_controller.hpp"
 #include "fabric/scoreboard.hpp"
@@ -108,8 +106,6 @@ TEST(ClientProbeTest, ValidatesConfigAndArming) {
 
 // --- fabric end-to-end harness ---------------------------------------------
 
-constexpr packet::MacAddr kServerMac = 0x5E00;
-constexpr packet::MacAddr kClientMacBase = 0xC100;
 constexpr packet::MacAddr kLeafMac = Topology::kLeafMacBase;
 
 struct FabricOpts {
@@ -139,67 +135,39 @@ struct FabricOut {
 };
 
 FabricOut run_fabric(const FabricOpts& opts) {
-  netsim::Network net(opts.shards);
+  TopologyConfig tcfg = scenario::LeafSpine::config();
+  if (opts.migration) {
+    tcfg.switch_config.migration.enabled = true;
+    tcfg.switch_config.migration.interval = 20 * kMillisecond;
+  }
+  scenario::LeafSpine bed(opts.shards, tcfg, opts.server_leaf);
+  netsim::Network& net = bed.net;
+  Topology& topo = bed.topo;
   std::unique_ptr<faults::FaultInjector> injector;
   if (opts.plan != nullptr) {
     injector = std::make_unique<faults::FaultInjector>(*opts.plan, opts.shards);
     net.set_transmit_hook(injector.get());
   }
 
-  TopologyConfig tcfg;
-  tcfg.leaves = 4;
-  tcfg.spines = 2;
-  tcfg.switch_config.costs.table_entry_update = 100 * kMicrosecond;
-  tcfg.switch_config.costs.snapshot_per_block = 1 * kMicrosecond;
-  tcfg.switch_config.costs.clear_per_block = 1 * kMicrosecond;
-  tcfg.switch_config.costs.extraction_timeout = 50 * kMillisecond;
-  tcfg.switch_config.compute_model = alloc::ComputeModel::deterministic();
-  if (opts.migration) {
-    tcfg.switch_config.migration.enabled = true;
-    tcfg.switch_config.migration.interval = 20 * kMillisecond;
-  }
-  tcfg.controller.epoch = 2 * kMillisecond;
-  tcfg.controller.miss_threshold = 3;
-  Topology topo(net, tcfg);
-
-  auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
-  net.attach(server);
-  topo.attach_host(*server, 0, opts.server_leaf, kServerMac);
-  net.pin(*server, opts.server_leaf % opts.shards);
-
   const u32 n = static_cast<u32>(opts.client_leaf.size());
   std::vector<std::unique_ptr<scenario::CacheTenant>> tenants;
   // Results after opts.mark, per tenant (entry i: tenant i's shard only).
   std::vector<u64> late_hits(n, 0);
   std::vector<u64> late_results(n, 0);
-  const SimTime drive_stop = opts.stop - 300 * kMillisecond;
   for (u32 i = 0; i < n; ++i) {
-    auto client = std::make_shared<client::ClientNode>(
-        "tenant" + std::to_string(i), kClientMacBase + i,
-        topo.controller_mac());
-    net.attach(client);
-    topo.attach_host(*client, 0, opts.client_leaf[i], kClientMacBase + i);
-    net.pin(*client, opts.client_leaf[i] % opts.shards);
     tenants.push_back(std::make_unique<scenario::CacheTenant>(
-        *client, i, kServerMac, workload::ZipfGenerator(512, 1.2), 1000 + i,
-        500 * kMicrosecond));
+        bed.add_client("tenant" + std::to_string(i), opts.client_leaf[i]), i,
+        scenario::LeafSpine::kServerMac, workload::ZipfGenerator(512, 1.2),
+        1000 + i, 500 * kMicrosecond));
     scenario::CacheTenant& t = *tenants.back();
-    t.seed(*server);
+    t.seed(*bed.server);
     t.on_result = [&net, &opts, &late_hit = late_hits[i],
                    &late_result = late_results[i]](u32, u64, u32, bool hit) {
       if (opts.mark == 0 || net.simulator().now() < opts.mark) return;
       ++late_result;
       if (hit) ++late_hit;
     };
-    t.cache().on_relocated = [&t] {
-      t.cache().populate(t.hot_set_for_allocation());
-    };
-    t.cache().on_ready = [&t, drive_stop] {
-      t.cache().populate(t.hot_set_for_allocation());
-      t.start_traffic(drive_stop);
-    };
-    net.schedule_on(*client, (i + 1) * 100 * kMillisecond,
-                    [&t] { t.cache().request_allocation(); });
+    t.join((i + 1) * 100 * kMillisecond, opts.stop - 300 * kMillisecond);
   }
 
   if (opts.wipe_leaf0_at != 0) {
@@ -421,73 +389,29 @@ TEST(FabricE2E, EvacuationDeterministicAcrossShards) {
 // fabric; meanwhile the controller re-places the service that died with
 // the leaf, and the client ends up fully served on the new paths.
 TEST(FabricFailover, DualHomedClientSwingsToBackupUplink) {
-  netsim::Network net(1);
+  // The harness's fabric and cost model: grants must complete inside the
+  // controller's evacuation timeout (2 epochs), or the re-placement
+  // cycles past every sibling before the first one answers.
+  scenario::LeafSpine bed(1, scenario::LeafSpine::config(), 2);
+  netsim::Network& net = bed.net;
+  Topology& topo = bed.topo;
   faults::FaultPlan plan;
   plan.flaps.push_back({"leaf0", "", 400 * kMillisecond, 10 * kSecond});
   faults::FaultInjector injector(plan, 1);
   net.set_transmit_hook(&injector);
 
-  TopologyConfig tcfg;
-  // Same control-plane cost model as the harness: grants must complete
-  // inside the controller's evacuation timeout (2 epochs), or the
-  // re-placement cycles past every sibling before the first one answers.
-  tcfg.switch_config.costs.table_entry_update = 100 * kMicrosecond;
-  tcfg.switch_config.costs.snapshot_per_block = 1 * kMicrosecond;
-  tcfg.switch_config.costs.clear_per_block = 1 * kMicrosecond;
-  tcfg.switch_config.costs.extraction_timeout = 50 * kMillisecond;
-  tcfg.switch_config.compute_model = alloc::ComputeModel::deterministic();
-  tcfg.controller.epoch = 2 * kMillisecond;
-  tcfg.controller.miss_threshold = 3;
-  Topology topo(net, tcfg);
-
   constexpr SimTime kStop = 1'200 * kMillisecond;
-  auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
-  net.attach(server);
-  topo.attach_host(*server, 0, 2, kServerMac);
-
-  auto client = std::make_shared<client::ClientNode>(
-      "dual-client", kClientMacBase, topo.controller_mac());
-  net.attach(client);
-  topo.attach_host(*client, 0, 0, kClientMacBase);  // primary: leaf0
-  topo.attach_host(*client, 1, 1, kClientMacBase);  // backup: leaf1
-  auto cache = std::make_shared<apps::CacheService>("cache", kServerMac);
-  client->register_service(cache);
-
-  workload::ZipfGenerator zipf{256, 1.2};
-  Rng rng{7};
+  client::ClientNode& client = bed.add_client("dual-client", 0);  // leaf0
+  topo.attach_host(client, 1, 1, client.mac());  // backup: leaf1
+  scenario::CacheTenant tenant(client, 0, scenario::LeafSpine::kServerMac,
+                               workload::ZipfGenerator(256, 1.2), 7,
+                               500 * kMicrosecond);
+  tenant.seed(*bed.server);
   u64 late_hits = 0;
-  u64 bad_values = 0;
-  SimTime stop_time = 0;
-  std::function<void()> drive;
-  const auto key_of = [](u32 rank) {
-    return workload::ZipfGenerator::key_for_rank(rank) | (1ull << 40);
+  tenant.on_result = [&](u32, u64, u32, bool hit) {
+    if (hit && net.simulator().now() >= 700 * kMillisecond) ++late_hits;
   };
-  for (u32 rank = 0; rank < zipf.universe(); ++rank) {
-    server->put(key_of(rank), rank + 1);
-  }
-  scenario::route_cache_replies(*client, *cache);
-  cache->on_result = [&](u32, u64, u32 value, bool hit) {
-    if (!hit) return;
-    if (value == 0) ++bad_values;
-    if (net.simulator().now() >= 700 * kMillisecond) ++late_hits;
-  };
-  const auto hot_set = [&] {
-    const u32 k = std::min(cache->bucket_count(), zipf.universe());
-    std::vector<std::pair<u64, u32>> out;
-    for (u32 rank = k; rank-- > 0;) out.emplace_back(key_of(rank), rank + 1);
-    return out;
-  };
-  cache->on_relocated = [&] { cache->populate(hot_set()); };
-  drive = [&] {
-    if (net.simulator().now() >= stop_time) return;
-    cache->get(key_of(zipf.next_rank(rng)));
-    net.simulator().schedule_after(500 * kMicrosecond, [&] { drive(); });
-  };
-  cache->on_ready = [&] {
-    cache->populate(hot_set());
-    stop_time = kStop - 300 * kMillisecond;
-    drive();
-  };
+  const apps::CacheService& cache = tenant.cache();
 
   client::ClientNode::UplinkProbeConfig probe;
   probe.primary_mac = topo.leaf_mac(0);
@@ -495,27 +419,26 @@ TEST(FabricFailover, DualHomedClientSwingsToBackupUplink) {
   probe.interval = 2 * kMillisecond;
   probe.miss_threshold = 2;
   probe.until = kStop;
-  client->enable_uplink_probe(probe);
-  net.schedule_on(*client, 50 * kMillisecond, [&] { client->probe_tick(); });
-  net.schedule_on(*client, 100 * kMillisecond,
-                  [&] { cache->request_allocation(); });
+  client.enable_uplink_probe(probe);
+  net.schedule_on(client, 50 * kMillisecond, [&] { client.probe_tick(); });
+  tenant.join(100 * kMillisecond, kStop - 300 * kMillisecond);
   topo.start(1 * kMillisecond, kStop);
   net.run_until(kStop + 500 * kMillisecond);
 
-  EXPECT_EQ(client->failovers(), 1u);
-  EXPECT_EQ(client->active_uplink(), 1u);
-  ASSERT_TRUE(cache->operational());
+  EXPECT_EQ(client.failovers(), 1u);
+  EXPECT_EQ(client.active_uplink(), 1u);
+  ASSERT_TRUE(cache.operational());
   // Originally on leaf0 (the only feasible pick at admission time); the
   // death moved it to leaf1, the first surviving candidate.
-  EXPECT_EQ(cache->fid() / Topology::kFidRange, 2u);
-  EXPECT_EQ(topo.controller().owner_of(cache->fid()), topo.leaf_mac(1));
-  EXPECT_EQ(client->steering_of(cache->fid()), topo.leaf_mac(1));
+  EXPECT_EQ(cache.fid() / Topology::kFidRange, 2u);
+  EXPECT_EQ(topo.controller().owner_of(cache.fid()), topo.leaf_mac(1));
+  EXPECT_EQ(client.steering_of(cache.fid()), topo.leaf_mac(1));
   const auto report = topo.controller().report();
   EXPECT_EQ(report.switch_deaths, 1u);
   EXPECT_EQ(report.replaced, 1u);
   EXPECT_EQ(report.state_loss_services, 0u);
   EXPECT_GT(late_hits, 0u);  // fully recovered on the backup paths
-  EXPECT_EQ(bad_values, 0u);
+  EXPECT_EQ(tenant.bad_values(), 0u);
 }
 
 // --- satellite: stage-bias tie parity --------------------------------------
@@ -601,9 +524,7 @@ TEST(AdmissionDeferralTest, QueuedReslideDefersThenAdmits) {
   cfg.pipeline.words_per_stage = 10 * 256;  // 10 blocks per stage
   cfg.scheme = alloc::Scheme::kFirstFit;
   cfg.compute_model = alloc::ComputeModel::deterministic();
-  cfg.costs.table_entry_update = 100 * kMicrosecond;
-  cfg.costs.snapshot_per_block = 1 * kMicrosecond;
-  cfg.costs.clear_per_block = 1 * kMicrosecond;
+  cfg.costs = scenario::shrunk_costs();
   cfg.costs.extraction_timeout = 5 * kMillisecond;
   cfg.migration.enabled = true;
   cfg.migration.interval = 50 * kMillisecond;

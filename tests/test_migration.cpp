@@ -601,9 +601,7 @@ struct MigScenarioOut {
 MigScenarioOut run_mig_scenario(u32 shards, const faults::FaultPlan* plan) {
   scenario::Star star(shards, [](netsim::Network& net) {
     controller::SwitchNode::Config cfg;
-    cfg.costs.table_entry_update = 100 * kMicrosecond;
-    cfg.costs.snapshot_per_block = 1 * kMicrosecond;
-    cfg.costs.clear_per_block = 1 * kMicrosecond;
+    cfg.costs = scenario::shrunk_costs();
     cfg.costs.extraction_timeout = 200 * kMillisecond;
     cfg.compute_model = alloc::ComputeModel::deterministic();
     cfg.metrics = &net.metrics(0);
@@ -635,21 +633,10 @@ MigScenarioOut run_mig_scenario(u32 shards, const faults::FaultPlan* plan) {
   tenants[0]->on_result = [&net, &late_hits](u32, u64, u32, bool hit) {
     if (hit && net.simulator().now() >= kResume) ++late_hits;
   };
-  for (u32 i = 0; i < 2; ++i) {
-    scenario::CacheTenant& t = *tenants[i];
-    t.cache().on_relocated = [&t] {
-      t.cache().populate(t.hot_set_for_allocation());
-    };
-    t.cache().on_ready = [&t, i] {
-      t.cache().populate(t.hot_set_for_allocation());
-      t.start_traffic(i == 1 ? kPause : kStop);
-    };
-    net.schedule_on(t.client(), (i + 1) * 100 * kMillisecond,
-                    [&t] { t.cache().request_allocation(); });
-    if (i == 1) {
-      net.schedule_on(t.client(), kResume, [&t] { t.start_traffic(kStop); });
-    }
-  }
+  tenants[0]->join(100 * kMillisecond, kStop);
+  tenants[1]->join(200 * kMillisecond, kPause);
+  net.schedule_on(tenants[1]->client(), kResume,
+                  [&t = *tenants[1]] { t.start_traffic(kStop); });
 
   net.run_until(kStop + kSecond);
 

@@ -1,17 +1,21 @@
-// Scenario building blocks (src/scenario): the single-switch star's
-// addressing and attach-order conventions, and the cache tenant's
-// bookkeeping -- in particular that bad_values flags a hit whose value
-// differs from the seeded one, not only a zeroed word.
+// Scenario building blocks (src/scenario): the single-switch star's and
+// the leaf-spine bed's addressing, attach-order and pinning conventions,
+// and the cache tenant's bookkeeping -- in particular that bad_values
+// flags a hit whose value differs from the seeded one, not only a zeroed
+// word.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "common/bytes.hpp"
+#include "packet/ethernet.hpp"
 #include "scenario/scenario.hpp"
 
 namespace artmt {
 namespace {
 
 using scenario::CacheTenant;
+using scenario::LeafSpine;
 using scenario::Star;
 
 controller::SwitchNode::Config modeled_config() {
@@ -47,6 +51,65 @@ TEST(StarTest, AttachOrderMacsAndShardPinning) {
   EXPECT_EQ(first.shard(), 1u);
 }
 
+// A passive frame with nothing past the Ethernet header: hosts ignore it.
+netsim::Frame bare_frame(netsim::Node& from, packet::MacAddr dst) {
+  ByteWriter out;
+  packet::EthernetHeader{dst, 0, packet::kEtherTypeIpv4}.serialize(out);
+  return from.network().pool().copy(out.bytes());
+}
+
+TEST(LeafSpineTest, AttachOrderMacsPortsAndShardPinning) {
+  LeafSpine bed(2, LeafSpine::config(), 3);
+  client::ClientNode& first = bed.add_client("a", 0);
+  client::ClientNode& second = bed.add_client("b", 1);
+  client::ClientNode& third = bed.add_client("c", 3);
+
+  // The fabric's 4 leaves, 2 spines and controller attach first, then
+  // the server, then clients in call order.
+  constexpr u32 kFabricNodes = 4 + 2 + 1;
+  EXPECT_EQ(bed.server->attach_index(), kFabricNodes);
+  EXPECT_EQ(first.attach_index(), kFabricNodes + 1);
+  EXPECT_EQ(second.attach_index(), kFabricNodes + 2);
+  EXPECT_EQ(third.attach_index(), kFabricNodes + 3);
+  EXPECT_EQ(bed.server->mac(), LeafSpine::kServerMac);
+  EXPECT_EQ(first.mac(), LeafSpine::kClientMacBase);
+  EXPECT_EQ(third.mac(), LeafSpine::kClientMacBase + 2);
+  EXPECT_EQ(first.switch_mac(), bed.topo.controller_mac());
+  ASSERT_EQ(bed.clients.size(), 3u);
+  EXPECT_EQ(bed.clients[2].get(), &third);
+
+  // Every client sends the server a frame; leaf3 sends one out of each
+  // host port (they count up from `spines`: server on 2, c on 3).
+  u64 c_frames = 0;
+  third.on_passive = [&c_frames](netsim::Frame&) { ++c_frames; };
+  for (client::ClientNode* c : {&first, &second, &third}) {
+    bed.net.schedule_on(*c, 0, [c, &bed] {
+      c->network().transmit(*c, 0, bare_frame(*c, LeafSpine::kServerMac));
+    });
+  }
+  controller::SwitchNode& leaf3 = bed.topo.leaf(3);
+  bed.net.schedule_on(leaf3, 0, [&leaf3] {
+    leaf3.network().transmit(leaf3, 2, bare_frame(leaf3, 0));
+    leaf3.network().transmit(leaf3, 3, bare_frame(leaf3, 0));
+  });
+  bed.net.run_until(kMillisecond);
+
+  // Hosts run on their leaf's shard (leaf % shards).
+  EXPECT_EQ(bed.server->shard(), 1u);
+  EXPECT_EQ(first.shard(), 0u);
+  EXPECT_EQ(second.shard(), 1u);
+  EXPECT_EQ(third.shard(), 1u);
+  EXPECT_EQ(bed.server->stats().ignored, 4u);
+  EXPECT_EQ(c_frames, 1u);
+  // Other leaves reach the server through spine 0; spine 1 stays idle.
+  const auto forwarded = [&bed](u32 spine) {
+    return bed.topo.spine(spine).metrics().counter_value("switch",
+                                                         "forwarded");
+  };
+  EXPECT_EQ(forwarded(0), 2u);
+  EXPECT_EQ(forwarded(1), 0u);
+}
+
 struct TenantRun {
   u64 hits = 0;
   u64 bad_values = 0;
@@ -66,11 +129,7 @@ TenantRun run_tenant(bool overwrite) {
   tenant.on_result = [&run](u32, u64, u32 value, bool hit) {
     if (hit && value == 0) ++run.zero_value_hits;
   };
-  tenant.cache().on_ready = [&tenant] {
-    tenant.cache().populate(tenant.hot_set_for_allocation());
-    tenant.start_traffic(kSecond);
-  };
-  tenant.cache().request_allocation();
+  tenant.join(0, kSecond);
   if (overwrite) {
     star.net.schedule_on(*star.sw, 500 * kMillisecond, [&] {
       run.bad_before_overwrite = tenant.bad_values();

@@ -544,9 +544,7 @@ struct ScenarioResult {
 ScenarioResult run_scenario(u32 shards, u32 requests) {
   scenario::Star star(shards, [](Network& net) {
     controller::SwitchNode::Config cfg;
-    cfg.costs.table_entry_update = 100 * kMicrosecond;
-    cfg.costs.snapshot_per_block = 1 * kMicrosecond;
-    cfg.costs.clear_per_block = 1 * kMicrosecond;
+    cfg.costs = scenario::shrunk_costs();
     cfg.costs.extraction_timeout = 200 * kMillisecond;
     // Wall-clock allocator timing would make the virtual timeline (and
     // the snapshot) host-load dependent; the determinism assertions need

@@ -88,10 +88,8 @@ using namespace artmt;
 
 namespace {
 
-constexpr packet::MacAddr kServerMac = scenario::Star::kServerMac;
 constexpr packet::MacAddr kBackend1Mac = 0xdd01;
 constexpr packet::MacAddr kBackend2Mac = 0xdd02;
-constexpr packet::MacAddr kClientMac = scenario::Star::kClientMacBase;
 constexpr u32 kFlows = 8;
 
 struct ChaosConfig {
@@ -165,49 +163,41 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
   const SimTime recovery_at = workload_start + window + 100 * kMillisecond;
 
   controller::SwitchNode::Config cfg;
-  cfg.costs.table_entry_update = 100 * kMicrosecond;
-  cfg.costs.snapshot_per_block = 1 * kMicrosecond;
-  cfg.costs.clear_per_block = 1 * kMicrosecond;
+  cfg.costs = scenario::shrunk_costs();
   cfg.compute_model = alloc::ComputeModel::deterministic();
 
   // Single mode: the star, with the backends on switch ports 8 and 9.
-  // Leaf-spine mode: the same hosts on a fabric over a bare network.
+  // Leaf-spine mode: the same hosts on a two-leaf fabric.
   std::unique_ptr<scenario::Star> star;
-  std::unique_ptr<netsim::Network> fabric_net;
-  std::unique_ptr<fabric::Topology> topo;
+  std::unique_ptr<scenario::LeafSpine> leaf_spine;
+  fabric::Topology* topo = nullptr;
   auto backend1 = std::make_shared<apps::ServerNode>("backend1", kBackend1Mac);
   auto backend2 = std::make_shared<apps::ServerNode>("backend2", kBackend2Mac);
   std::shared_ptr<apps::ServerNode> server;
   client::ClientNode* client = nullptr;
   if (config.leaf_spine) {
-    fabric_net = std::make_unique<netsim::Network>(shards);
     fabric::TopologyConfig tcfg;
     tcfg.leaves = 2;
     tcfg.spines = 1;
     tcfg.switch_config = cfg;  // per-switch registries: leaves span shards
-    tcfg.controller.epoch = 2 * kMillisecond;
     // The leaf0 brownout silences its health acks for its whole duration.
     // This soak gates digest convergence, not re-placement (bench_fabric
     // owns that), so the death threshold must outlast the brownout.
     tcfg.controller.miss_threshold =
         static_cast<u32>((window / 16) / tcfg.controller.epoch) + 4;
-    topo = std::make_unique<fabric::Topology>(*fabric_net, tcfg);
-    server = std::make_shared<apps::ServerNode>("server", kServerMac);
-    auto fabric_client = std::make_shared<client::ClientNode>(
-        "client", kClientMac, topo->controller_mac());
-    client = fabric_client.get();
-    fabric_net->attach(server);
-    fabric_net->attach(backend1);
-    fabric_net->attach(backend2);
-    fabric_net->attach(std::move(fabric_client));
-    // Client on leaf0, server on leaf1 (service traffic crosses the
-    // spine). The backends are dual-homed at matching port numbers --
-    // host ports 2 and 3 on BOTH leaves -- so the LB's VIP pool of
-    // egress ports is valid on whichever leaf the controller places it.
-    topo->attach_host(*client, 0, 0, kClientMac);      // leaf0 port 1
+    // Server on leaf1 port 1, client on leaf0 port 1: service traffic
+    // crosses the spine. The backends are dual-homed at matching port
+    // numbers -- host ports 2 and 3 on BOTH leaves -- so the LB's VIP
+    // pool of egress ports is valid on whichever leaf the controller
+    // places it.
+    leaf_spine = std::make_unique<scenario::LeafSpine>(shards, tcfg, 1);
+    topo = &leaf_spine->topo;
+    server = leaf_spine->server;
+    leaf_spine->net.attach(backend1);
+    leaf_spine->net.attach(backend2);
+    client = &leaf_spine->add_client("client", 0);
     topo->attach_host(*backend1, 0, 0, kBackend1Mac);  // leaf0 port 2
     topo->attach_host(*backend2, 0, 0, kBackend2Mac);  // leaf0 port 3
-    topo->attach_host(*server, 0, 1, kServerMac);      // leaf1 port 1
     topo->attach_host(*backend1, 1, 1, kBackend1Mac);  // leaf1 port 2
     topo->attach_host(*backend2, 1, 1, kBackend2Mac);  // leaf1 port 3
   } else {
@@ -222,7 +212,7 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
     star->attach_host(backend2, 9, kBackend2Mac);
     client = &star->add_client("client");
   }
-  netsim::Network& net = star ? star->net : *fabric_net;
+  netsim::Network& net = star ? star->net : leaf_spine->net;
   if (sink != nullptr) {
     sink->set_clock([&net] { return net.now(); });
     telemetry::set_trace_sink(sink);
@@ -250,9 +240,9 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
     server->put(key_of(rank), rank + 1);
   }
 
-  auto cache = std::make_shared<apps::CacheService>("cache", kServerMac);
+  auto cache = std::make_shared<apps::CacheService>("cache", server->mac());
   auto monitor =
-      std::make_shared<apps::FrequentItemService>("monitor", kServerMac);
+      std::make_shared<apps::FrequentItemService>("monitor", server->mac());
   auto lb = std::make_shared<apps::CheetahLbService>("lb");
   client->register_service(cache);
   client->register_service(monitor);

@@ -226,33 +226,18 @@ double downtime_percentile_ms(std::vector<SimTime> samples, double p) {
 // epochs declare it dead and the evacuation/re-placement machinery runs
 // inside the dump window. Deterministic for any shard count.
 int run_fabric_report(u32 shards) {
-  netsim::Network net(std::max(shards, 1u));  // always the sharded engine
-  const u32 workers = net.shards();
+  telemetry::MetricsRegistry fabric_registry;
+  fabric::TopologyConfig tcfg = scenario::LeafSpine::config();
+  tcfg.controller.metrics = &fabric_registry;
+  // Always the sharded engine.
+  scenario::LeafSpine bed(std::max(shards, 1u), tcfg, 2);
+  netsim::Network& net = bed.net;
+  fabric::Topology& topo = bed.topo;
 
   faults::FaultPlan plan;
   plan.flaps.push_back({"leaf0", "", 500 * kMillisecond, 10 * kSecond});
-  faults::FaultInjector injector(plan, workers);
+  faults::FaultInjector injector(plan, net.shards());
   net.set_transmit_hook(&injector);
-
-  telemetry::MetricsRegistry fabric_registry;
-  fabric::TopologyConfig tcfg;
-  tcfg.leaves = 4;
-  tcfg.spines = 2;
-  tcfg.switch_config.costs.table_entry_update = 100 * kMicrosecond;
-  tcfg.switch_config.costs.snapshot_per_block = 1 * kMicrosecond;
-  tcfg.switch_config.costs.clear_per_block = 1 * kMicrosecond;
-  tcfg.switch_config.costs.extraction_timeout = 50 * kMillisecond;
-  tcfg.switch_config.compute_model = alloc::ComputeModel::deterministic();
-  tcfg.controller.epoch = 2 * kMillisecond;
-  tcfg.controller.metrics = &fabric_registry;
-  fabric::Topology topo(net, tcfg);
-
-  constexpr packet::MacAddr kFabServerMac = 0x5E00;
-  constexpr packet::MacAddr kFabClientBase = 0xC100;
-  auto server = std::make_shared<apps::ServerNode>("server", kFabServerMac);
-  net.attach(server);
-  topo.attach_host(*server, 0, 2, kFabServerMac);
-  net.pin(*server, 2 % workers);
 
   // Tenant 0 lands on the doomed leaf0 (round-robin admission places
   // service i on leaf i), so its service is the evacuation victim.
@@ -260,28 +245,14 @@ int run_fabric_report(u32 shards) {
   const u32 n = static_cast<u32>(client_leaf.size());
   std::vector<std::unique_ptr<scenario::CacheTenant>> tenants;
   constexpr SimTime kStop = 1'200 * kMillisecond;
-  const SimTime drive_stop = kStop - 300 * kMillisecond;
   for (u32 i = 0; i < n; ++i) {
-    auto client = std::make_shared<client::ClientNode>(
-        "tenant" + std::to_string(i), kFabClientBase + i,
-        topo.controller_mac());
-    net.attach(client);
-    topo.attach_host(*client, 0, client_leaf[i], kFabClientBase + i);
-    net.pin(*client, client_leaf[i] % workers);
     tenants.push_back(std::make_unique<scenario::CacheTenant>(
-        *client, i, kFabServerMac, workload::ZipfGenerator(512, 1.2),
+        bed.add_client("tenant" + std::to_string(i), client_leaf[i]), i,
+        scenario::LeafSpine::kServerMac, workload::ZipfGenerator(512, 1.2),
         1000 + i, 500 * kMicrosecond));
-    scenario::CacheTenant& t = *tenants.back();
-    t.seed(*server);
-    t.cache().on_relocated = [&t] {
-      t.cache().populate(t.hot_set_for_allocation());
-    };
-    t.cache().on_ready = [&t, drive_stop] {
-      t.cache().populate(t.hot_set_for_allocation());
-      t.start_traffic(drive_stop);
-    };
-    net.schedule_on(*client, (i + 1) * 100 * kMillisecond,
-                    [&t] { t.cache().request_allocation(); });
+    tenants.back()->seed(*bed.server);
+    tenants.back()->join((i + 1) * 100 * kMillisecond,
+                         kStop - 300 * kMillisecond);
   }
 
   topo.start(1 * kMillisecond, kStop);
