@@ -265,8 +265,9 @@ run_tsan() {
   cmake --preset tsan
   cmake --build --preset tsan
   ctest --preset tsan
-  # Races in the lock-free epoch barrier depend on timing: repeat.
-  ./build-tsan/tests/test_sharded --gtest_repeat=30
+  # Races in the lock-free epoch handoff depend on timing: repeat. A lost
+  # wakeup hangs the binary; the timeout turns that into a failure.
+  timeout 1200 ./build-tsan/tests/test_sharded --gtest_repeat=30
 }
 
 case "$job" in

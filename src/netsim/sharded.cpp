@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <utility>
@@ -38,6 +39,13 @@ u64 elapsed_ns(std::chrono::steady_clock::time_point since) {
                               .count());
 }
 
+u64 thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<u64>(ts.tv_sec) * 1'000'000'000ull +
+         static_cast<u64>(ts.tv_nsec);
+}
+
 void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -46,71 +54,38 @@ void cpu_relax() {
 #endif
 }
 
-}  // namespace
+// Both sides of the epoch handoff spin before they park, for about one
+// futex park/wake round trip. On a 4-core Intel Xeon VM, parking costs a
+// FUTEX_WAIT entry and a context switch (~1.3 us: half a raw
+// FUTEX_WAIT/FUTEX_WAKE ping-pong round trip), and a parked thread that
+// idled 5-100 us runs again 2-3 us (p50) after the FUTEX_WAKE -- about
+// 5 us in all. One spin iteration (`pause` plus an acquire load of a
+// line held shared in the local cache) takes ~20 ns there, so 256
+// iterations spin for about one round trip before giving up the core:
+// the classic spin-then-block rule, which never costs more than twice
+// the better of pure spinning and immediate parking. Back-to-back
+// parallel epochs therefore hand off without a syscall, while a worker
+// idling through a long inline streak parks.
+constexpr u32 kSpinBudget = 256;
 
-// Spin-then-park rendezvous for the epoch loop. Arrivals are counted
-// with one acq_rel fetch_add, so the last arriver observes every other
-// worker's pre-arrival writes (their windows' outbox appends and queue
-// state) before it runs the serial section. It then publishes the next
-// generation with a (seq_cst, hence release) store; waiters acquire-load
-// the generation, which orders the serial section's writes (window
-// bounds, done_) before everything they do next.
-//
-// Waiters spin before they park, for about one futex park/wake round
-// trip. On a 4-core Intel Xeon VM, parking costs a FUTEX_WAIT entry and
-// a context switch (~1.3 us: half a raw FUTEX_WAIT/FUTEX_WAKE ping-pong
-// round trip), and a parked thread that idled 5-100 us runs again
-// 2-3 us (p50) after the FUTEX_WAKE -- about 5 us in all. One spin
-// iteration (`pause` plus an acquire load of a line held shared in the
-// local cache) takes ~20 ns there, so 256 iterations spin for about
-// one round trip before giving up the core: the classic spin-then-block
-// rule, which never costs more than twice the better of pure spinning
-// and immediate parking. Most epoch windows are shorter than that, so
-// most rendezvous complete without a syscall.
-class ShardedSimulator::Barrier {
- public:
-  static constexpr u32 kSpinBudget = 256;
-
-  explicit Barrier(u32 n) : n_(n) {}
-
-  // Books the arrival, the wait and (on the last arriver) the serial
-  // section's wall time into `stats`.
-  template <typename F>
-  void arrive_and_wait(ShardStats& stats, F&& serial) {
-    ++stats.rendezvous;
-    const auto wait_from = std::chrono::steady_clock::now();
-    // Read before arriving: the generation cannot advance until we do.
-    const u32 gen = generation_.load(std::memory_order_acquire);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
-      stats.barrier_wait_ns += elapsed_ns(wait_from);
-      const auto serial_from = std::chrono::steady_clock::now();
-      serial();
-      stats.serial_ns += elapsed_ns(serial_from);
-      arrived_.store(0, std::memory_order_relaxed);
-      // seq_cst, not just release: notify_all skips the futex wake when
-      // libstdc++'s waiter count reads zero, and only a seq_cst store
-      // (paired with seq_cst loads on the parking side) keeps that read
-      // from passing the store -- otherwise a waiter that registers
-      // just then parks on the old generation and never wakes.
-      generation_.store(gen + 1, std::memory_order_seq_cst);
-      generation_.notify_all();
-      return;
-    }
-    for (u32 spin = 0; spin < kSpinBudget; ++spin) {
-      if (generation_.load(std::memory_order_acquire) != gen) break;
-      cpu_relax();
-    }
-    while (generation_.load(std::memory_order_seq_cst) == gen) {
-      generation_.wait(gen, std::memory_order_seq_cst);
-    }
-    stats.barrier_wait_ns += elapsed_ns(wait_from);
+// Blocks until `word` holds `target`. The acquire loads order everything
+// the publisher wrote before its store after the return. The parking
+// side's loads are seq_cst, and so is every store or RMW that ends a
+// wait: notify_all skips the futex wake when libstdc++'s waiter count
+// reads zero, and only seq_cst on both sides keeps that read from passing
+// the store -- otherwise a waiter that registers just then parks on the
+// old value and never wakes.
+void await_value(const std::atomic<u32>& word, u32 target) {
+  for (u32 spin = 0; spin < kSpinBudget; ++spin) {
+    if (word.load(std::memory_order_acquire) == target) return;
+    cpu_relax();
   }
+  for (u32 seen; (seen = word.load(std::memory_order_seq_cst)) != target;) {
+    word.wait(seen, std::memory_order_seq_cst);
+  }
+}
 
- private:
-  const u32 n_;
-  std::atomic<u32> arrived_{0};
-  std::atomic<u32> generation_{0};
-};
+}  // namespace
 
 ShardedSimulator::ShardedSimulator(u32 shards) {
   if (shards == 0) {
@@ -119,6 +94,7 @@ ShardedSimulator::ShardedSimulator(u32 shards) {
   shards_.reserve(shards);
   for (u32 i = 0; i < shards; ++i) {
     auto shard = std::make_unique<Shard>();
+    shard->ctx = {this, i, &shard->sim, &shard->pool};
     shard->metrics = std::make_unique<telemetry::MetricsRegistry>();
     shard->sim.set_metrics(shard->metrics.get());
     for (auto& half : shard->outbox) half.resize(shards);
@@ -126,7 +102,6 @@ ShardedSimulator::ShardedSimulator(u32 shards) {
   }
   shard_bound_.assign(shards, kNoEvent);
   next_.assign(shards, kNoEvent);
-  barrier_ = std::make_unique<Barrier>(shards);
 }
 
 ShardedSimulator::~ShardedSimulator() = default;
@@ -193,6 +168,7 @@ void ShardedSimulator::export_shard_stats(
     out.counter("sharding", "barrier_wait_ns", fid)
         .merge_add(s.barrier_wait_ns);
     out.counter("sharding", "serial_ns", fid).merge_add(s.serial_ns);
+    out.counter("sharding", "cpu_ns", fid).merge_add(s.cpu_ns);
   }
   // Engine-wide scheduler shape: widths of bounded epoch windows and the
   // count of unbounded (no cross-shard constraint) ones. Lives here and
@@ -200,6 +176,7 @@ void ShardedSimulator::export_shard_stats(
   // with the shard count.
   out.histogram("sharding", "epoch_width_ns").merge_from(epoch_width_);
   out.counter("sharding", "unbounded_epochs").merge_add(unbounded_epochs_);
+  out.counter("sharding", "inline_epochs").merge_add(inline_epochs_);
 }
 
 void ShardedSimulator::enqueue(MailMsg msg) {
@@ -350,7 +327,7 @@ void ShardedSimulator::drain_inboxes(u32 dst_idx, u32 parity) {
 }
 
 void ShardedSimulator::store_error(std::exception_ptr err) {
-  // The worker is about to abort the run: capture its flight-recorder
+  // The shard is about to abort the run: capture its flight-recorder
   // lane first so the forensic tail ships with the error.
   if (auto* recorder = telemetry::flight_recorder()) {
     try {
@@ -382,8 +359,8 @@ SimTime ShardedSimulator::collect_next(u32 parity) {
 
 // Opens the epoch whose earliest event sits at `start`: computes every
 // shard's window bound from the reachability matrix and next_, and
-// records the epoch's shape. Runs only while quiescent or inside the
-// barrier's serial section, right after collect_next.
+// records the epoch's shape. Runs only on the conductor, while quiescent
+// or between epochs, right after collect_next.
 void ShardedSimulator::open_window(SimTime start) {
   const u32 n = shards();
   SimTime min_bound = kNoEvent;
@@ -429,76 +406,135 @@ void ShardedSimulator::select_next_window(SimTime limit, u32 parity) {
   open_window(next);
 }
 
+bool ShardedSimulator::parallel_epoch(SimTime limit) const {
+  u32 busy = 0;
+  for (u32 j = 0; j < shards(); ++j) {
+    if (next_[j] < shard_bound_[j] && next_[j] <= limit && ++busy == 2) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void ShardedSimulator::run_epoch_body(u32 shard_idx, SimTime limit,
+                                      u32 parity) {
+  Shard& shard = *shards_[shard_idx];
+  detail::tls_shard = &shard.ctx;
+  telemetry::set_span_lane(shard_idx);
+  ++shard.stats.epochs;
+  try {
+    if (abort_.load(std::memory_order_relaxed)) return;
+    // Every drained arrival is at or beyond this shard's bound for the
+    // epoch that sent it (arrival >= next_sender + link >=
+    // bound_receiver), so it lands in this window or a later one.
+    drain_inboxes(shard_idx, parity ^ 1);
+    // Receivers drained this half during the previous epoch; clearing it
+    // here returns the originals' slabs to this shard's pool.
+    for (Outbox& box : shard.outbox[parity]) box.clear();
+    shard.parity = parity;
+    // Events with at < bound and at <= limit; the shard clock stays at
+    // its last event (never outrunning it) and is aligned globally once
+    // the run quiesces.
+    SimTime bound = shard_bound_[shard_idx];  // kNoEvent: drain all
+    if (limit != kNoEvent && limit < bound - 1) bound = limit + 1;
+    shard.sim.run_window(bound);
+  } catch (...) {
+    store_error(std::current_exception());
+  }
+}
+
 void ShardedSimulator::worker_loop(u32 shard_idx, SimTime limit) {
   Shard& shard = *shards_[shard_idx];
-  const detail::ShardContext ctx{this, shard_idx, &shard.sim, &shard.pool};
-  detail::tls_shard = &ctx;
-  telemetry::set_span_lane(shard_idx);
+  const u64 cpu_from = thread_cpu_ns();
+  const u32 workers = shards() - 1;
+  // go_ starts each run at 0 and the conductor bumps it once per parallel
+  // epoch, only after every worker arrived from the previous one.
+  for (u32 gen = 1;; ++gen) {
+    const auto wait_from = std::chrono::steady_clock::now();
+    await_value(go_, gen);
+    shard.stats.barrier_wait_ns += elapsed_ns(wait_from);
+    if (done_) break;  // published by the go bump
+    ++shard.stats.rendezvous;
+    run_epoch_body(shard_idx, limit, parity_);
+    if (arrived_.fetch_add(1, std::memory_order_seq_cst) + 1 == workers) {
+      arrived_.notify_all();
+    }
+  }
+  shard.stats.cpu_ns += thread_cpu_ns() - cpu_from;
+}
+
+void ShardedSimulator::conduct(SimTime limit) {
+  const u32 n = shards();
+  Shard& lead = *shards_[0];
+  const u64 cpu_from = thread_cpu_ns();
+  go_.store(0, std::memory_order_relaxed);
+  arrived_.store(0, std::memory_order_relaxed);
+  const auto release_workers = [this] {
+    // seq_cst: see await_value.
+    go_.fetch_add(1, std::memory_order_seq_cst);
+    go_.notify_all();
+  };
+  std::vector<std::thread> workers;
+  workers.reserve(n - 1);
+  try {
+    for (u32 i = 1; i < n; ++i) {
+      workers.emplace_back([this, i, limit] { worker_loop(i, limit); });
+    }
+  } catch (...) {
+    // A failed spawn: dismiss the workers already waiting for their
+    // first go before the exception leaves with them unjoined.
+    done_ = true;
+    release_workers();
+    for (auto& t : workers) t.join();
+    throw;
+  }
 
   // Epochs alternate outbox halves: an epoch of parity p posts into
   // outbox[p] while receivers drain outbox[p ^ 1], which the previous
-  // epoch filled and the previous rendezvous published.
+  // epoch filled.
   u32 parity = 0;
   while (true) {
+    if (parallel_epoch(limit)) {
+      parity_ = parity;
+      release_workers();
+      ++lead.stats.rendezvous;
+      run_epoch_body(0, limit, parity);
+      const auto wait_from = std::chrono::steady_clock::now();
+      await_value(arrived_, n - 1);
+      lead.stats.barrier_wait_ns += elapsed_ns(wait_from);
+      // No worker touches arrived_ again before the next go.
+      arrived_.store(0, std::memory_order_relaxed);
+    } else {
+      // One busy shard: the idle shards' shares are a drain and a clear,
+      // so run every share here while the workers stay parked.
+      for (u32 i = 0; i < n; ++i) run_epoch_body(i, limit, parity);
+      ++inline_epochs_;
+    }
+    const auto serial_from = std::chrono::steady_clock::now();
+    select_next_window(limit, parity);
+    lead.stats.serial_ns += elapsed_ns(serial_from);
+    parity ^= 1;
+    if (done_) break;
+  }
+  release_workers();  // done_ is raised: every worker leaves its loop
+  for (auto& t : workers) t.join();
+
+  // Mail posted in the final epoch (arrivals past `limit`) moves into its
+  // destination queue, where the next run picks it up.
+  for (u32 i = 0; i < n; ++i) {
+    detail::tls_shard = &shards_[i]->ctx;
+    telemetry::set_span_lane(i);
     try {
       if (!abort_.load(std::memory_order_relaxed)) {
-        // Every drained arrival is at or beyond this shard's bound for
-        // the epoch that sent it (arrival >= next_sender + link >=
-        // bound_receiver), so it lands in this window or a later one.
-        drain_inboxes(shard_idx, parity ^ 1);
-        // Receivers drained this half during the previous epoch; clearing
-        // it here returns the originals' slabs to this shard's pool.
-        for (Outbox& box : shard.outbox[parity]) box.clear();
-        shard.parity = parity;
-        // Events with at < bound and at <= limit; the shard clock stays
-        // at its last event (never outrunning it) and is aligned
-        // globally once the run quiesces.
-        SimTime bound = shard_bound_[shard_idx];  // kNoEvent: drain all
-        if (limit != kNoEvent && limit < bound - 1) bound = limit + 1;
-        shard.sim.run_window(bound);
+        drain_inboxes(i, parity ^ 1);
       }
     } catch (...) {
       store_error(std::current_exception());
     }
-    // The epoch's one rendezvous: the last arriver picks the next windows.
-    barrier_->arrive_and_wait(shard.stats, [this, limit, parity] {
-      select_next_window(limit, parity);
-    });
-    ++shard.stats.epochs;
-    parity ^= 1;
-    if (done_) break;  // published by the rendezvous
   }
-
-  // Mail posted in the final epoch (arrivals past `limit`) moves into
-  // this shard's queue, where the next run picks it up.
-  try {
-    if (!abort_.load(std::memory_order_relaxed)) {
-      drain_inboxes(shard_idx, parity ^ 1);
-    }
-  } catch (...) {
-    store_error(std::current_exception());
-  }
-
   telemetry::set_span_lane(0);
   detail::tls_shard = nullptr;
-}
-
-// shards == 1: no cross-shard link can exist, so the whole run is one
-// unbounded window on the calling thread -- no barriers, no mailboxes,
-// no worker threads. Deliveries carry the same canonical keys as under
-// the multi-shard engine, so this bypass is byte-identical to it.
-void ShardedSimulator::run_single_shard(SimTime limit) {
-  Shard& shard = *shards_[0];
-  const detail::ShardContext ctx{this, 0, &shard.sim, &shard.pool};
-  detail::tls_shard = &ctx;
-  try {
-    shard.sim.run_window(limit == kNoEvent ? kNoEvent : limit + 1);
-  } catch (...) {
-    detail::tls_shard = nullptr;
-    throw;
-  }
-  detail::tls_shard = nullptr;
-  ++shard.stats.epochs;
+  lead.stats.cpu_ns += thread_cpu_ns() - cpu_from;
 }
 
 void ShardedSimulator::run_epochs(SimTime limit) {
@@ -513,23 +549,8 @@ void ShardedSimulator::run_epochs(SimTime limit) {
     abort_.store(false, std::memory_order_relaxed);
     first_error_ = nullptr;
     open_window(start);
-
-    const u32 n = shards();
-    if (n == 1) {
-      // One shard cannot have cross-shard links, so the epoch machinery
-      // degenerates to a plain serial run; bypass it entirely (exceptions
-      // propagate directly, no rendezvous to keep alive).
-      run_single_shard(limit);
-    } else {
-      std::vector<std::thread> workers;
-      workers.reserve(n);
-      for (u32 i = 0; i < n; ++i) {
-        workers.emplace_back([this, i, limit] { worker_loop(i, limit); });
-      }
-      for (auto& t : workers) t.join();
-    }
+    conduct(limit);
   }
-
   // Quiescent again: release the cross-shard originals still parked in
   // either outbox half -- also after a failed run, so no slab outlives it
   // and no stale mail reaches the next run's first drain.

@@ -15,23 +15,32 @@
 // frame can arrive below its bound. Same-shard frames never constrain
 // the window; they are scheduled directly onto the sender's own queue at
 // transmit time, so a shard unreachable over cross-shard links drains
-// everything in one unbounded window. The one-shard engine skips the
-// barrier/worker machinery entirely and runs inline on the calling
-// thread.
+// everything in one unbounded window.
 //
-// One rendezvous per epoch. Outboxes are double-buffered by epoch
-// parity: an epoch of parity p posts cross-shard mail into outbox[p]
-// while, at its top, each worker (1) drains the mail every shard posted
-// toward it in the previous epoch (outbox[p ^ 1]), (2) clears its own
-// outbox[p], which receivers drained during the previous epoch, and
-// (3) runs its window. The rendezvous's serial section then picks the
-// next windows with next_j = min(shard j's queue head, earliest arrival
-// still parked toward j) -- senders track that arrival at enqueue, so
-// the section is O(shards^2). That is exactly the value a drain before
-// window selection would see, so the epoch partition does not depend on
-// where in the epoch the drain happens. After the final epoch each
-// worker drains its inbox once more, leaving arrivals past `limit` in
-// its queue for the next run.
+// The calling thread of run()/run_until() is the epoch *conductor*: it
+// drives shard 0, and it runs window selection after every epoch. A
+// shard is busy in an epoch when it holds work below its bound (next_j <
+// bound_j and next_j <= limit). An epoch with at most one busy shard runs
+// *inline*: the conductor works every shard's share of it in turn, under
+// that shard's ShardContext and span lane, while the worker threads of
+// shards 1..N-1 stay parked. Only an epoch with two or more busy shards
+// wakes them, with one `go` generation out and one `arrived` count back.
+// The one-shard engine is the degenerate case: every epoch is inline and
+// it starts no thread.
+//
+// Outboxes are double-buffered by epoch parity: an epoch of parity p
+// posts cross-shard mail into outbox[p], while each shard's share of it,
+// inline or on its worker, (1) drains the mail every shard posted toward
+// it in the previous epoch (outbox[p ^ 1]), (2) clears its own outbox[p],
+// which receivers drained during the previous epoch, and (3) runs its
+// window. Window selection then picks the next windows with next_j =
+// min(shard j's queue head, earliest arrival still parked toward j) --
+// senders track that arrival at enqueue, so it is O(shards^2). That is
+// exactly the value a drain before window selection would see, so the
+// epoch partition does not depend on where in the epoch the drain
+// happens, nor on which thread ran it. After the final epoch the
+// conductor drains every shard's inbox once more, leaving arrivals past
+// `limit` in their queues for the next run.
 //
 // Determinism (same seed => byte-identical telemetry snapshots and reply
 // streams, for ANY shard count):
@@ -50,17 +59,20 @@
 //    tripwires), and telemetry merges are commutative sums.
 //
 // Memory model: a FrameBuf's refcount and its pool's freelist are plain
-// (non-atomic), so slabs are confined to their shard. A frame crossing a
-// shard boundary is deep-copied into the destination shard's pool at the
-// drain (FramePool::clone); the source shard releases the original when
-// it clears that outbox half an epoch later. Mailbox vectors are handed
-// between workers only across the rendezvous: arrivals are counted with
-// an acq_rel fetch_add, and the last arriver publishes a generation
-// counter with a release (in fact seq_cst) store that waiters
-// acquire-load -- spinning for a bounded budget, then parking in
-// std::atomic::wait. Those edges order every outbox write before its
-// drain and every drain before the clear (the engine runs clean under
-// TSan).
+// (non-atomic), so a slab is touched only by whichever thread drives its
+// shard in the current epoch. A frame crossing a shard boundary is
+// deep-copied into the destination shard's pool at the drain
+// (FramePool::clone); the source shard releases the original when it
+// clears that outbox half an epoch later. A shard passes between the
+// conductor and its worker only across the handoff: the conductor
+// publishes a parallel epoch by bumping the `go` generation with a
+// seq_cst (hence release) store that workers acquire-load, and each
+// worker reports back with a seq_cst fetch_add on `arrived` that the
+// conductor acquire-loads. Both sides spin for a bounded budget, then
+// park in std::atomic::wait. Those edges order every outbox write before
+// its drain, every drain before the clear, and every inline epoch's
+// shard state before the worker that next drives that shard (the engine
+// runs clean under TSan).
 #pragma once
 
 #include <array>
@@ -94,30 +106,34 @@ extern thread_local const ShardContext* tls_shard;
 
 }  // namespace detail
 
-// Per-shard engine statistics (satellite: shard-level reporting). The
-// first five are simulation-determined; barrier_wait_ns and serial_ns
-// are wall clock and therefore excluded from determinism-compared
-// snapshots.
+// Per-shard engine statistics. The first five are simulation-determined
+// for a given shard count; barrier_wait_ns, serial_ns and cpu_ns are
+// host time and therefore excluded from determinism-compared snapshots.
 struct ShardStats {
   u64 events_dispatched = 0;  // events run by this shard's Simulator
-  u64 epochs = 0;             // lock-step epochs participated in
+  u64 epochs = 0;             // lock-step epochs, inline or parallel
   u64 frames_in = 0;          // cross-shard frames drained into this shard
   u64 frames_out = 0;         // cross-shard frames sent by this shard
-  u64 rendezvous = 0;         // barrier arrivals (one per epoch; the
-                              // one-shard engine has no barrier)
-  u64 barrier_wait_ns = 0;    // wall-clock time waiting for other shards
-  u64 serial_ns = 0;          // wall-clock time in the serial section
-                              // (window selection) as the last arriver
+  u64 rendezvous = 0;         // parallel epochs joined: epochs minus the
+                              // engine's inline epochs
+  u64 barrier_wait_ns = 0;    // wall clock spent waiting: shard 0 for the
+                              // workers' arrivals, a worker for the next
+                              // go (parked through inline streaks)
+  u64 serial_ns = 0;          // wall clock in window selection (shard 0:
+                              // the conductor runs it)
+  u64 cpu_ns = 0;             // CLOCK_THREAD_CPUTIME_ID of the thread
+                              // driving this shard (shard 0: the
+                              // conductor, inline epochs included)
 };
 
 class ShardedSimulator {
  public:
   static constexpr SimTime kNoEvent = Simulator::kNoEvent;
 
-  // `shards` >= 1. shards == 1 runs each run()/run_until() as one
-  // unbounded window inline on the calling thread, with no epoch loop
-  // and no threads; shards > 1 spawn one worker thread per shard for
-  // each run()/run_until() call and join them before it returns.
+  // `shards` >= 1. Each run()/run_until() conducts its epochs on the
+  // calling thread, which drives shard 0 and every inline epoch; shards >
+  // 1 also spawn one worker thread per shard 1..N-1 for the call and join
+  // them before it returns. shards == 1 starts no thread.
   explicit ShardedSimulator(u32 shards);
   ~ShardedSimulator();
 
@@ -149,6 +165,8 @@ class ShardedSimulator {
   // unbounded epoch runs everything).
   [[nodiscard]] SimTime lookahead() const { return lookahead_; }
   [[nodiscard]] u64 epochs() const { return epochs_; }
+  // Epochs the conductor ran alone (at most one busy shard).
+  [[nodiscard]] u64 inline_epochs() const { return inline_epochs_; }
 
   [[nodiscard]] const ShardStats& shard_stats(u32 shard) const;
   // The registry shard `shard`'s components record into (the switch's
@@ -157,11 +175,11 @@ class ShardedSimulator {
   [[nodiscard]] telemetry::MetricsRegistry& shard_metrics(u32 shard);
 
   // Publishes per-shard ShardStats into `out` under component "sharding"
-  // with fid = shard index. Kept out of Network::merge_metrics_into because
-  // barrier_wait_ns and serial_ns are wall clock and per-shard splits
-  // vary with the shard count -- including them would break
-  // cross-shard-count snapshot equality that the determinism tests
-  // assert.
+  // with fid = shard index, plus the engine-wide epoch shape. Kept out of
+  // Network::merge_metrics_into because barrier_wait_ns, serial_ns and
+  // cpu_ns are host time and the epoch partition varies with the shard
+  // count -- including them would break cross-shard-count snapshot
+  // equality that the determinism tests assert.
   void export_shard_stats(telemetry::MetricsRegistry& out) const;
 
  private:
@@ -195,19 +213,18 @@ class ShardedSimulator {
   struct Shard {
     Simulator sim;
     FramePool pool;
+    detail::ShardContext ctx;  // installed by whichever thread drives it
     std::unique_ptr<telemetry::MetricsRegistry> metrics;
     // outbox[p][d]: messages this shard sent toward shard d in the latest
-    // epoch of parity p. Written only by this shard's worker during an
-    // epoch of parity p; drained by d's worker at the top of the next
-    // epoch; cleared by this worker at the top of the one after (so slabs
-    // are released into the pool that owns them).
+    // epoch of parity p. Written only while this shard runs an epoch of
+    // parity p; drained by d at the top of the next epoch; cleared by
+    // this shard at the top of the one after (so slabs are released into
+    // the pool that owns them).
     std::array<std::vector<Outbox>, 2> outbox;
-    u32 parity = 0;  // the running epoch's parity (this worker only)
+    u32 parity = 0;  // the running epoch's parity (its thread only)
     std::vector<MailMsg*> drain_scratch;  // reused sort buffer
     ShardStats stats;
   };
-
-  class Barrier;
 
   // Called by Network::transmit: append to the current shard's outbox
   // (or, when quiescent, clone into the destination pool and hold in the
@@ -225,8 +242,15 @@ class ShardedSimulator {
   void compute_lookahead();
   void drain_external();
   void run_epochs(SimTime limit);
-  void run_single_shard(SimTime limit);
+  // The calling thread's epoch loop: runs inline epochs itself, hands
+  // parallel ones to the workers, selects every window.
+  void conduct(SimTime limit);
+  // Shards 1..N-1: runs the shard's share of each parallel epoch.
   void worker_loop(u32 shard, SimTime limit);
+  // One shard's share of an epoch of `parity`: drain, clear, window.
+  void run_epoch_body(u32 shard, SimTime limit, u32 parity);
+  // True when two or more shards hold work below their window bound.
+  [[nodiscard]] bool parallel_epoch(SimTime limit) const;
   // Schedules the mail every shard posted toward `shard` in an epoch of
   // `parity`.
   void drain_inboxes(u32 shard, u32 parity);
@@ -238,8 +262,9 @@ class ShardedSimulator {
   // Opens the epoch window starting at `start` from next_ (records its
   // width).
   void open_window(SimTime start);
-  // Barrier serial section after an epoch of `parity`: picks the next
-  // window from the globally earliest pending work, or raises done_.
+  // Window selection after an epoch of `parity` (conductor only): picks
+  // the next window from the globally earliest pending work, or raises
+  // done_.
   void select_next_window(SimTime limit, u32 parity);
   // Turns a drained message into a delivery event on `sim`.
   static void schedule_delivery(Simulator& sim, MailMsg& msg, Frame frame,
@@ -255,6 +280,7 @@ class ShardedSimulator {
   SimTime global_now_ = 0;
   SimTime lookahead_ = kNoEvent;
   u64 epochs_ = 0;
+  u64 inline_epochs_ = 0;
   // Width (virtual ns) of every bounded epoch window opened, plus a count
   // of unbounded (no cross-shard constraint) epochs. Exported via
   // export_shard_stats only: like barrier_wait_ns, the epoch partition
@@ -271,19 +297,26 @@ class ShardedSimulator {
   // traffic. Rebuilt by compute_lookahead() each prepare().
   std::vector<SimTime> reach_;
 
-  // Epoch state: written in the barrier's serial section, read by
-  // workers after the barrier (release/acquire-ordered). shard_bound_[i]
+  // Epoch state: written by the conductor between epochs, read by workers
+  // after the go handoff (release/acquire-ordered). shard_bound_[i]
   // is shard i's exclusive window end this epoch: min over event-holding
   // shards j of next_[j] + reach_[j][i] (kNoEvent = unbounded, drain
   // everything).
   std::vector<SimTime> shard_bound_;
-  std::vector<SimTime> next_;  // serial-section scratch (collect_next)
+  std::vector<SimTime> next_;  // window-selection scratch (collect_next)
   bool done_ = false;
-  std::unique_ptr<Barrier> barrier_;
+  u32 parity_ = 0;  // parity of the parallel epoch `go_` last published
 
-  // A worker that throws records the error, raises abort_, and keeps
-  // arriving at barriers so nobody deadlocks; the serial section turns
-  // abort_ into done_ and run() rethrows after the join.
+  // The conductor bumps go_ to start a parallel epoch (or, with done_
+  // raised, to end the run); each worker then adds one to arrived_ when
+  // its share is done. seq_cst stores/RMWs pair with the parking side's
+  // seq_cst loads (see await_value in sharded.cpp).
+  std::atomic<u32> go_{0};
+  std::atomic<u32> arrived_{0};
+
+  // A shard that throws records the error and raises abort_; the epoch
+  // keeps going so every worker still arrives, window selection turns
+  // abort_ into done_, and run() rethrows after the join.
   std::atomic<bool> abort_{false};
   std::mutex error_mu_;
   std::exception_ptr first_error_;

@@ -11,6 +11,7 @@
 #include "client/client_node.hpp"
 #include "controller/switch_node.hpp"
 #include "scenario/scenario.hpp"
+#include "star_bed.hpp"
 
 namespace artmt {
 namespace {
@@ -26,22 +27,6 @@ using scenario::Star;
 
 constexpr packet::MacAddr kServerMac = Star::kServerMac;
 constexpr packet::MacAddr kClientMacBase = Star::kClientMacBase;
-
-// The single-switch star with `clients` clients ("client<i>"); control
-// costs shrunk so tests converge quickly (ratios stay realistic: table
-// updates dominate).
-std::unique_ptr<Star> make_bed(
-    u32 clients = 1, alloc::Scheme scheme = alloc::Scheme::kWorstFit) {
-  SwitchNode::Config cfg;
-  cfg.scheme = scheme;
-  cfg.costs = scenario::shrunk_costs();
-  cfg.costs.extraction_timeout = 200 * kMillisecond;
-  auto bed = std::make_unique<Star>(0, cfg);
-  for (u32 i = 0; i < clients; ++i) {
-    bed->add_client("client" + std::to_string(i));
-  }
-  return bed;
-}
 
 TEST(E2E, AllocationNegotiationCompletes) {
   auto bed = make_bed();

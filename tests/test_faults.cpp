@@ -26,6 +26,7 @@
 #include "faults/injector.hpp"
 #include "netsim/network.hpp"
 #include "scenario/scenario.hpp"
+#include "star_bed.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace artmt {
@@ -706,21 +707,6 @@ TEST(SwitchWipe, WipeRegistersZeroesEveryStage) {
 using scenario::Star;
 
 constexpr packet::MacAddr kServerMac = Star::kServerMac;
-
-// The single-switch star with `clients` clients ("client<i>") and the
-// test_e2e control costs; faults are installed per test.
-std::unique_ptr<Star> make_bed(
-    u32 clients = 1, alloc::Scheme scheme = alloc::Scheme::kWorstFit) {
-  controller::SwitchNode::Config cfg;
-  cfg.scheme = scheme;
-  cfg.costs = scenario::shrunk_costs();
-  cfg.costs.extraction_timeout = 200 * kMillisecond;
-  auto bed = std::make_unique<Star>(0, cfg);
-  for (u32 i = 0; i < clients; ++i) {
-    bed->add_client("client" + std::to_string(i));
-  }
-  return bed;
-}
 
 TEST(Recovery, CachePopulateRetransmitsThroughLoss) {
   auto bed = make_bed();

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "apps/hh_service.hpp"
@@ -54,9 +56,11 @@ class RelayNode : public netsim::Node {
 };
 
 // A ring of `n` relays; a quiescent injection with `hops` in byte 0
-// circulates until the countdown expires.
+// circulates until the countdown expires. `engine` is what Network is
+// built from: a ShardedSimulator, or a shard count (0 = serial).
 struct Ring {
-  explicit Ring(ShardedSimulator& ssim, u32 n) : net(ssim) {
+  template <typename Engine>
+  Ring(Engine&& engine, u32 n) : net(std::forward<Engine>(engine)) {
     for (u32 i = 0; i < n; ++i) {
       nodes.push_back(std::make_shared<RelayNode>("n" + std::to_string(i),
                                                   /*out_port=*/0));
@@ -299,9 +303,10 @@ void pin_round_robin(ShardedSimulator& ssim, Ring& ring) {
   }
 }
 
-// Deterministic twin of the barrier's wall-clock cost: every shard
-// arrives exactly once per epoch, so a second per-epoch barrier would
-// double the count.
+// Deterministic twin of the handoff's wall-clock cost: every shard joins
+// each parallel epoch exactly once and no inline one, so a second
+// rendezvous per parallel epoch would double the count. This ring has
+// epochs of both kinds.
 TEST(Sharded, OneRendezvousPerEpoch) {
   for (u32 shards : {2u, 4u}) {
     ShardedSimulator ssim(shards);
@@ -312,10 +317,15 @@ TEST(Sharded, OneRendezvousPerEpoch) {
     ssim.run();
     telemetry::MetricsRegistry stats;
     ssim.export_shard_stats(stats);
+    const u64 inline_epochs = ssim.inline_epochs();
+    EXPECT_GT(inline_epochs, 0u) << shards << " shards";
+    EXPECT_LT(inline_epochs, ssim.epochs()) << shards << " shards";
+    EXPECT_EQ(stats.counter_value("sharding", "inline_epochs"), inline_epochs);
     u64 frames_out = 0;
     for (u32 i = 0; i < shards; ++i) {
       const netsim::ShardStats& st = ssim.shard_stats(i);
-      EXPECT_EQ(st.rendezvous, st.epochs) << "shard " << i << "/" << shards;
+      EXPECT_EQ(st.rendezvous, st.epochs - inline_epochs)
+          << "shard " << i << "/" << shards;
       EXPECT_EQ(st.epochs, ssim.epochs()) << "shard " << i << "/" << shards;
       EXPECT_EQ(stats.counter_value("sharding", "rendezvous",
                                     static_cast<i32>(i)),
@@ -325,6 +335,34 @@ TEST(Sharded, OneRendezvousPerEpoch) {
     EXPECT_GT(ssim.epochs(), 1u) << shards << " shards";
     EXPECT_EQ(frames_out, 30u + 25u) << shards << " shards";
   }
+}
+
+// One frame in flight between two shards: every epoch has exactly one
+// busy shard, so the conductor runs them all inline and no worker ever
+// joins one -- with the serial engine's and one shard's results.
+TEST(Sharded, OneBusyShardRunsInline) {
+  const auto ping_pong = [](u32 engine_shards) {
+    Ring ring(engine_shards, 2);
+    ring.net.pin(*ring.nodes[0], 0);
+    ring.net.pin(*ring.nodes[1], ring.net.shards() - 1);
+    ring.inject(0, 40, 256);
+    ring.net.run();
+    if (const ShardedSimulator* ssim = ring.net.sharded()) {
+      if (ssim->shards() > 1) {
+        EXPECT_GT(ssim->epochs(), 1u);
+      }
+      EXPECT_EQ(ssim->inline_epochs(), ssim->epochs())
+          << engine_shards << " shards";
+      for (u32 i = 0; i < ssim->shards(); ++i) {
+        EXPECT_EQ(ssim->shard_stats(i).rendezvous, 0u)
+            << "shard " << i << "/" << engine_shards;
+      }
+    }
+    return std::pair{ring.digest(), ring.net.now()};
+  };
+  const auto serial = ping_pong(0);
+  EXPECT_EQ(ping_pong(1), serial);
+  EXPECT_EQ(ping_pong(2), serial);
 }
 
 // The benchmark drives the engine in many uneven run_until slices; the
@@ -357,35 +395,98 @@ TEST(Sharded, UnevenRunUntilSlicesMatchOneRun) {
   }
 }
 
+// About 2000 short run_until slices per shard count, each starting and
+// joining its workers, over epochs that alternate between inline and
+// parallel: a lost wakeup at the conductor handoff hangs here, which is
+// why CI runs this binary under a timeout.
+TEST(Sharded, ConductorHandoffStress) {
+  constexpr u32 kWaves = 8;
+  constexpr SimTime kWaveGap = 300 * kMicrosecond;
+  constexpr SimTime kSlices = 2000;
+  auto build = [](ShardedSimulator& ssim) {
+    auto ring = std::make_unique<Ring>(ssim, 6);
+    pin_round_robin(ssim, *ring);
+    Ring* r = ring.get();
+    for (u32 w = 0; w < kWaves; ++w) {
+      // A long frame and a short one: parallel epochs while both keep
+      // different shards busy, inline ones once the long one is alone.
+      for (const auto& [from, hops] : {std::pair{0u, u8{250}}, {3u, u8{60}}}) {
+        ssim.schedule_on(*r->nodes[from], w * kWaveGap,
+                         [r, from, hops] { r->inject(from, hops, 256); });
+      }
+    }
+    return ring;
+  };
+  for (u32 shards : {2u, 4u}) {
+    ShardedSimulator whole(shards);
+    const auto reference = build(whole);
+    whole.run();
+    const SimTime end = whole.now();
+    EXPECT_GT(whole.inline_epochs(), 0u) << shards << " shards";
+    EXPECT_LT(whole.inline_epochs(), whole.epochs()) << shards << " shards";
+
+    ShardedSimulator sliced(shards);
+    const auto ring = build(sliced);
+    for (SimTime k = 1; k < kSlices; ++k) {
+      sliced.run_until(end * k / kSlices);
+    }
+    sliced.run();
+    EXPECT_EQ(ring->digest(), reference->digest()) << shards << " shards";
+    EXPECT_EQ(sliced.now(), end) << shards << " shards";
+  }
+}
+
 // Forwards like a RelayNode, then throws once on its `throw_at`-th
 // arrival -- after the forward, so its own outbox half holds mail.
+// `before_throw` runs just before, on the thread driving the relay.
 class FaultyRelay : public RelayNode {
  public:
-  FaultyRelay(std::string name, std::size_t throw_at)
-      : RelayNode(std::move(name), /*out_port=*/0), throw_at_(throw_at) {}
+  FaultyRelay(std::string name, std::size_t throw_at,
+              std::function<void()> before_throw)
+      : RelayNode(std::move(name), /*out_port=*/0),
+        throw_at_(throw_at),
+        before_throw_(std::move(before_throw)) {}
 
   void on_frame(netsim::Frame frame, u32 port) override {
     RelayNode::on_frame(std::move(frame), port);
-    if (log.size() == throw_at_) throw std::runtime_error("relay fault");
+    if (log.size() == throw_at_) {
+      before_throw_();
+      throw std::runtime_error("relay fault");
+    }
   }
 
  private:
   std::size_t throw_at_;
+  std::function<void()> before_throw_;
 };
 
-// A worker that throws while both outbox halves hold mail: run() must
+// A shard that throws while both outbox halves hold mail: run() must
 // surface the original exception, and the failed run must neither strand
 // slabs nor leave mail for the next run to deliver twice. Consecutive
-// throw points land the fault in epochs of both parities.
+// throw points land the fault in epochs of both parities, and the
+// counters show it lands in both inline and parallel epochs.
 TEST(Sharded, WorkerErrorWithMailInBothHalves) {
-  for (std::size_t throw_at : {10u, 11u, 12u, 13u}) {
+  bool threw_inline = false;
+  bool threw_parallel = false;
+  // 10-13 fire in parallel epochs, 96 in the ninth frame's inline tail.
+  for (std::size_t throw_at : {10u, 11u, 12u, 13u, 96u}) {
     SCOPED_TRACE("throw at arrival " + std::to_string(throw_at));
     ShardedSimulator ssim(2);
     Network net(ssim);
+    // Read by the thread driving shard 1 mid-epoch: its epoch count
+    // already includes this epoch, its rendezvous count only when the
+    // epoch is parallel, and the engine's inline count not yet.
+    const auto note_epoch_kind = [&] {
+      const netsim::ShardStats& st = ssim.shard_stats(1);
+      (st.epochs - st.rendezvous > ssim.inline_epochs() ? threw_inline
+                                                         : threw_parallel) =
+          true;
+    };
     std::vector<std::shared_ptr<RelayNode>> nodes;
     for (u32 i = 0; i < 4; ++i) {
       const std::string name = "n" + std::to_string(i);
-      nodes.push_back(i == 1 ? std::make_shared<FaultyRelay>(name, throw_at)
+      nodes.push_back(i == 1 ? std::make_shared<FaultyRelay>(name, throw_at,
+                                                             note_epoch_kind)
                              : std::make_shared<RelayNode>(name, 0));
       net.attach(nodes.back());
       ssim.pin(*nodes.back(), i % 2);
@@ -394,11 +495,13 @@ TEST(Sharded, WorkerErrorWithMailInBothHalves) {
       net.connect(*nodes[i], 0, *nodes[(i + 1) % 4], 1);
     }
     // Two frames per relay keep every hop, and so every epoch, busy with
-    // cross-shard mail. Sizes are unique: (size, hops) names a delivery.
-    for (u32 i = 0; i < 8; ++i) {
+    // cross-shard mail: those epochs are parallel. A ninth frame outlives
+    // them and circulates alone, one busy shard per epoch: those run
+    // inline. Sizes are unique: (size, hops) names a delivery.
+    for (u32 i = 0; i < 9; ++i) {
       netsim::Frame f = net.pool().acquire(64 + 16 * i);
       for (std::size_t b = 0; b < f.size(); ++b) f[b] = 0;
-      f[0] = 40;
+      f[0] = i < 8 ? 40 : 80;
       net.transmit(*nodes[i % 4], 0, std::move(f));
     }
 
@@ -432,6 +535,8 @@ TEST(Sharded, WorkerErrorWithMailInBothHalves) {
       EXPECT_EQ(pools[s].first, pools[s].second) << "shard " << s;
     }
   }
+  EXPECT_TRUE(threw_inline);
+  EXPECT_TRUE(threw_parallel);
 }
 
 TEST(Sharded, RunUntilIsInclusiveAndPreservesInFlightFrames) {

@@ -514,20 +514,23 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(misses), heavy_hitters,
                static_cast<unsigned long long>(sw->runtime().stats().packets));
   if (const netsim::ShardedSimulator* ssim = net.sharded()) {
-    std::fprintf(stderr, "sharded engine: %u shards, %llu epochs\n",
-                 net.shards(), static_cast<unsigned long long>(ssim->epochs()));
+    std::fprintf(stderr, "sharded engine: %u shards, %llu epochs (%llu inline)\n",
+                 net.shards(), static_cast<unsigned long long>(ssim->epochs()),
+                 static_cast<unsigned long long>(ssim->inline_epochs()));
     for (u32 s = 0; s < ssim->shards(); ++s) {
       const netsim::ShardStats& st = ssim->shard_stats(s);
       std::fprintf(
           stderr,
           "  shard %u: %llu events, %llu frames in / %llu out, "
-          "%llu rendezvous, barrier wait %.3f ms, serial %.3f ms\n",
+          "%llu rendezvous, barrier wait %.3f ms, serial %.3f ms, "
+          "cpu %.3f ms\n",
           s, static_cast<unsigned long long>(st.events_dispatched),
           static_cast<unsigned long long>(st.frames_in),
           static_cast<unsigned long long>(st.frames_out),
           static_cast<unsigned long long>(st.rendezvous),
           static_cast<double>(st.barrier_wait_ns) / 1e6,
-          static_cast<double>(st.serial_ns) / 1e6);
+          static_cast<double>(st.serial_ns) / 1e6,
+          static_cast<double>(st.cpu_ns) / 1e6);
     }
     // Scheduler shape: adaptive epoch-window widths (virtual ns) and the
     // count of unbounded windows (no cross-shard constraint applied).
