@@ -12,6 +12,7 @@
 #include "apps/programs.hpp"
 #include "controller/controller.hpp"
 #include "harness.hpp"
+#include "proto/wire.hpp"
 
 namespace artmt::bench {
 namespace {
@@ -31,15 +32,25 @@ void shrink_ablation() {
                               cfg.logical_stages);
   }();
 
+  // Each capsule goes the switch's way: parsed in place, executed, and
+  // answered with the reply encode_executed synthesizes from the cursor.
+  active::ProgramCache cache;
+  FramePool pool;
   for (const bool shrink : {true, false}) {
     packet::ArgumentHeader args;
     args.args[0] = synth.access_base[0];
     auto pkt = packet::ActivePacket::make_program(admitted.fid, args,
                                                   synth.program);
     if (!shrink) pkt.initial.flags |= packet::kFlagNoShrink;
-    const std::size_t out_bytes = pkt.serialize().size();
-    runtime.execute(pkt);
-    const std::size_t back_bytes = pkt.serialize().size();
+    FrameBuf frame(pkt.serialize());
+    const std::size_t out_bytes = frame.size();
+    auto view = packet::ProgramView::parse(frame, cache);
+    auto ctx =
+        runtime::ExecContext::over(view.initial, view.arguments, &view.ethernet);
+    active::ExecCursor cursor;
+    runtime.execute(*view.compiled, ctx, cursor);
+    const std::size_t back_bytes =
+        proto::encode_executed(view, cursor, std::move(frame), pool).size();
     std::printf(
         "shrink=%-3s outbound=%zuB return=%zuB (saved %.0f%% of the active "
         "headers)\n",

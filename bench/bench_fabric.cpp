@@ -18,13 +18,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "fabric/global_controller.hpp"
-#include "faults/fault_plan.hpp"
-#include "faults/injector.hpp"
 #include "scenario/scenario.hpp"
 
 namespace artmt {
@@ -35,93 +30,24 @@ bool quick_mode() {
   return quick;
 }
 
-struct ScenarioKnobs {
-  u32 shards = 1;
-  const faults::FaultPlan* plan = nullptr;
-  SimTime mark = 0;  // results after this instant count as "late"
-  SimTime stop = 1'500 * kMillisecond;
-};
-
-struct ScenarioOut {
-  fabric::FabricReport report;
-  std::vector<u64> leaf_digests;
-  u64 reply_digest = 0;
-  std::vector<Fid> fids;
-  std::vector<packet::MacAddr> owners;
-  std::vector<bool> operational;
-  std::vector<u64> hits;
-  std::vector<u64> late_hits;
-  u64 bad_values = 0;
-  SimTime completed_at = 0;
-
-  // The gates read the shards = 1 run only (the p99 downtime gate
-  // included), so every shard count must reproduce its report too.
-  [[nodiscard]] bool matches(const ScenarioOut& other) const {
-    return reply_digest == other.reply_digest &&
-           leaf_digests == other.leaf_digests && fids == other.fids &&
-           owners == other.owners && completed_at == other.completed_at &&
-           report == other.report;
-  }
-};
+// The gates read the shards = 1 run only (the p99 downtime gate
+// included), so every shard count must reproduce its report too.
+bool matches(const scenario::FabricDrillOut& a,
+             const scenario::FabricDrillOut& b) {
+  return a.reply_digest == b.reply_digest &&
+         a.leaf_digests == b.leaf_digests && a.fids == b.fids &&
+         a.owners == b.owners && a.completed_at == b.completed_at &&
+         a.report == b.report;
+}
 
 // Four tenants on leaves {1,2,3,1} (none on the doomed leaf0), server on
 // leaf2. Round-robin admission places service i on leaf i, so tenant 0's
 // service rides leaf0 and is the chaos schedule's victim.
-ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
-  scenario::LeafSpine bed(knobs.shards, scenario::LeafSpine::config(), 2);
-  netsim::Network& net = bed.net;
-  std::unique_ptr<faults::FaultInjector> injector;
-  if (knobs.plan != nullptr) {
-    injector =
-        std::make_unique<faults::FaultInjector>(*knobs.plan, knobs.shards);
-    net.set_transmit_hook(injector.get());
-  }
-
-  const std::vector<u32> client_leaf = {1, 2, 3, 1};
-  const u32 n = static_cast<u32>(client_leaf.size());
-  std::vector<std::unique_ptr<scenario::CacheTenant>> tenants;
-  std::vector<u64> late_hits(n, 0);  // entry i: tenant i's shard only
-  for (u32 i = 0; i < n; ++i) {
-    tenants.push_back(std::make_unique<scenario::CacheTenant>(
-        bed.add_client("tenant" + std::to_string(i), client_leaf[i]), i,
-        scenario::LeafSpine::kServerMac, workload::ZipfGenerator(512, 1.2),
-        1000 + i, 500 * kMicrosecond));
-    scenario::CacheTenant& t = *tenants.back();
-    t.seed(*bed.server);
-    t.on_result = [&net, &late = late_hits[i], &knobs](u32, u64, u32,
-                                                       bool hit) {
-      if (hit && knobs.mark != 0 && net.simulator().now() >= knobs.mark) {
-        ++late;
-      }
-    };
-    t.join((i + 1) * 100 * kMillisecond, knobs.stop - 300 * kMillisecond);
-  }
-
-  fabric::Topology& topo = bed.topo;
-  topo.start(1 * kMillisecond, knobs.stop);
-  net.run_until(knobs.stop + 500 * kMillisecond);
-
-  ScenarioOut out;
-  out.report = topo.controller().report();
-  for (u32 i = 0; i < topo.leaves(); ++i) {
-    out.leaf_digests.push_back(
-        scenario::register_digest(topo.leaf(i).pipeline()));
-  }
-  Digest combined;
-  for (u32 i = 0; i < n; ++i) {
-    scenario::CacheTenant& t = *tenants[i];
-    combined.mix(t.digest());
-    const Fid fid = t.cache().fid();
-    out.fids.push_back(fid);
-    out.owners.push_back(topo.controller().owner_of(fid));
-    out.operational.push_back(t.cache().operational());
-    out.hits.push_back(t.hits());
-    out.late_hits.push_back(late_hits[i]);
-    out.bad_values += t.bad_values();
-  }
-  out.reply_digest = combined.h;
-  out.completed_at = net.now();
-  return out;
+scenario::FabricDrill drill() {
+  scenario::FabricDrill d;
+  d.client_leaf = {1, 2, 3, 1};
+  d.server_leaf = 2;
+  return d;
 }
 
 double percentile_ms(std::vector<SimTime> samples, double p) {
@@ -146,12 +72,12 @@ int main() {
   chaos.flaps.push_back(
       {"spine1", "", 800 * kMillisecond, 900 * kMillisecond});
 
-  ScenarioKnobs chaos_knobs;
-  chaos_knobs.plan = &chaos;
-  chaos_knobs.mark = 700 * kMillisecond;
-  if (quick) chaos_knobs.stop = 1'200 * kMillisecond;
+  scenario::FabricDrill chaos_drill = drill();
+  chaos_drill.plan = &chaos;
+  chaos_drill.mark = 700 * kMillisecond;
+  if (quick) chaos_drill.stop = 1'200 * kMillisecond;
 
-  const ScenarioOut out = run_scenario(chaos_knobs);
+  const scenario::FabricDrillOut out = scenario::run_fabric_drill(chaos_drill);
   const double p99_ms = percentile_ms(out.report.downtimes, 0.99);
   const double max_ms = percentile_ms(out.report.downtimes, 1.0);
   const double zero_loss_fraction =
@@ -191,19 +117,20 @@ int main() {
       bystander_late > 0 && out.bad_values == 0;
 
   // Determinism: fault-free and chaos runs, shards 1/2/4.
-  ScenarioKnobs clean_knobs;
-  if (quick) clean_knobs.stop = 1'200 * kMillisecond;
-  const ScenarioOut clean_base = run_scenario(clean_knobs);
+  scenario::FabricDrill clean_drill = drill();
+  if (quick) clean_drill.stop = 1'200 * kMillisecond;
+  const scenario::FabricDrillOut clean_base =
+      scenario::run_fabric_drill(clean_drill);
   bool clean_match = true;
   bool chaos_match = true;
   for (const u32 shards :
        quick ? std::vector<u32>{2} : std::vector<u32>{2, 4}) {
-    ScenarioKnobs k = clean_knobs;
+    scenario::FabricDrill k = clean_drill;
     k.shards = shards;
-    const bool clean_ok = run_scenario(k).matches(clean_base);
-    ScenarioKnobs c = chaos_knobs;
+    const bool clean_ok = matches(scenario::run_fabric_drill(k), clean_base);
+    scenario::FabricDrill c = chaos_drill;
     c.shards = shards;
-    const bool chaos_ok = run_scenario(c).matches(out);
+    const bool chaos_ok = matches(scenario::run_fabric_drill(c), out);
     std::printf("shards=%u: fault-free %s, chaos %s\n", shards,
                 clean_ok ? "byte-identical" : "DIVERGED",
                 chaos_ok ? "byte-identical" : "DIVERGED");

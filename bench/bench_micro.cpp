@@ -1,20 +1,14 @@
-// Microbenchmarks (google-benchmark) for the core data-plane and
-// control-plane primitives: capsule parse/serialize, instruction
-// execution, hashing, mutant enumeration, and single allocations.
+// The data-plane bench: a steady-state harness, then the e2e netsim
+// datapath harness that writes BENCH_datapath.json.
 //
-// Before the google-benchmark cases run, a steady-state harness measures
-// the switch packet path on a repeated-program workload two ways:
-//   legacy  -- decode a fresh Program per packet, execute the mutating
-//              compatibility path, serialize the mutated packet;
-//   cached  -- intern through the ProgramCache, execute the immutable
-//              CompiledProgram with a stack ExecCursor, synthesize the
-//              shrink reply from the cursor.
-// The harness asserts (exit 1) that the cache-hit execute performs zero
-// heap allocations, and prints a JSON summary: packets/sec and
-// allocations/packet for both paths, runtime drop/fault counters, and
-// program-cache hit/miss statistics.
-#include <benchmark/benchmark.h>
-
+// The steady-state harness runs the switch's capsule path on a
+// repeated-program workload: parse the frame in place (ProgramView,
+// interned through the ProgramCache), execute the immutable
+// CompiledProgram with a stack ExecCursor, and synthesize the shrink reply
+// from the cursor (encode_executed). It asserts (exit 1) that the
+// cache-hit execute performs zero heap allocations, and prints a JSON
+// summary: packets/sec and allocations/packet, runtime drop/fault
+// counters, and program-cache hit/miss statistics.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +19,6 @@
 
 #include "active/assembler.hpp"
 #include "active/program_cache.hpp"
-#include "alloc/allocator.hpp"
 #include "apps/cache_service.hpp"
 #include "apps/programs.hpp"
 #include "apps/server_node.hpp"
@@ -34,9 +27,8 @@
 #include "faults/injector.hpp"
 #include "netsim/network.hpp"
 #include "netsim/sharded.hpp"
-#include "packet/active_packet.hpp"
+#include "packet/program_view.hpp"
 #include "proto/wire.hpp"
-#include "rmt/hash.hpp"
 #include "runtime/exec_batch.hpp"
 #include "runtime/runtime.hpp"
 #include "scenario/scenario.hpp"
@@ -88,6 +80,12 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace artmt {
 namespace {
 
+// Keeps a result observable so the measured work is not optimized away.
+template <typename T>
+void keep(const T& value) {
+  asm volatile("" : : "r"(&value) : "memory");
+}
+
 // CI perf-smoke mode (scripts/ci.sh): ARTMT_BENCH_QUICK=1 shrinks every
 // packet count so the whole harness finishes in seconds. Allocation
 // assertions still run at full strength -- they are count-independent --
@@ -101,15 +99,12 @@ bool quick_mode() {
 
 // --- steady-state packet-path harness ------------------------------------
 
-struct PathResult {
-  double packets_per_sec = 0.0;
-  double allocs_per_packet = 0.0;
-};
-
 struct SteadyStateRig {
   rmt::PipelineConfig cfg;
   rmt::Pipeline pipeline{cfg};
   runtime::ActiveRuntime runtime{pipeline};
+  active::ProgramCache cache;
+  FramePool pool;
   std::vector<u8> frame;  // the repeated cache-query capsule
 
   SteadyStateRig() {
@@ -121,6 +116,24 @@ struct SteadyStateRig {
         apps::cache_query_program());
     frame = pkt.serialize();
   }
+
+  // Runs `packets` capsules; returns the heap allocations of the whole
+  // loop and adds those of the execute calls alone to `execute_allocs`.
+  u64 round(u64 packets, u64* execute_allocs) {
+    const auto allocs_before = g_alloc_count;
+    active::ExecCursor cursor;
+    for (u64 i = 0; i < packets; ++i) {
+      FrameBuf buf = pool.copy(frame);
+      auto view = packet::ProgramView::parse(buf, cache);
+      auto ctx = runtime::ExecContext::over(view.initial, view.arguments,
+                                            &view.ethernet);
+      const auto exec_before = g_alloc_count;
+      keep(runtime.execute(*view.compiled, ctx, cursor));
+      *execute_allocs += g_alloc_count - exec_before;
+      keep(proto::encode_executed(view, cursor, std::move(buf), pool));
+    }
+    return g_alloc_count - allocs_before;
+  }
 };
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -129,96 +142,33 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return elapsed.count();
 }
 
-u64 legacy_round(SteadyStateRig& rig, u64 packets) {
-  const auto allocs_before = g_alloc_count;
-  for (u64 i = 0; i < packets; ++i) {
-    auto pkt = packet::ActivePacket::parse(rig.frame);
-    rig.runtime.execute(pkt);
-    benchmark::DoNotOptimize(pkt.serialize());
-  }
-  return g_alloc_count - allocs_before;
-}
-
-u64 cached_round(SteadyStateRig& rig, active::ProgramCache& cache,
-                 active::ExecCursor& cursor, u64 packets,
-                 u64* execute_allocs) {
-  const auto allocs_before = g_alloc_count;
-  for (u64 i = 0; i < packets; ++i) {
-    auto pkt = packet::ActivePacket::parse(rig.frame, cache);
-    const auto exec_before = g_alloc_count;
-    rig.runtime.execute(*pkt.compiled, pkt, cursor);
-    *execute_allocs += g_alloc_count - exec_before;
-    benchmark::DoNotOptimize(proto::encode_executed(pkt, cursor));
-  }
-  return g_alloc_count - allocs_before;
-}
-
-// Rounds of the two paths are interleaved and each path reports its best
-// round, so ambient load on a shared host skews both measurements alike
-// instead of whichever path happened to run during a busy slice.
-void measure_paths(SteadyStateRig& legacy_rig, SteadyStateRig& cached_rig,
-                   active::ProgramCache& cache, u64 rounds, u64 per_round,
-                   PathResult* legacy_out, PathResult* cached_out,
-                   u64* execute_allocs_out) {
-  active::ExecCursor cursor;
-  // Warm up both paths (and populate the cache).
-  legacy_round(legacy_rig, 1000);
-  u64 execute_allocs = 0;
-  cached_round(cached_rig, cache, cursor, 1000, &execute_allocs);
-  execute_allocs = 0;
-
-  double legacy_best_rate = 0.0;
-  double cached_best_rate = 0.0;
-  u64 legacy_allocs = 0;
-  u64 cached_allocs = 0;
-  for (u64 r = 0; r < rounds; ++r) {
-    auto start = std::chrono::steady_clock::now();
-    legacy_allocs += legacy_round(legacy_rig, per_round);
-    legacy_best_rate =
-        std::max(legacy_best_rate,
-                 static_cast<double>(per_round) / seconds_since(start));
-    start = std::chrono::steady_clock::now();
-    cached_allocs +=
-        cached_round(cached_rig, cache, cursor, per_round, &execute_allocs);
-    cached_best_rate =
-        std::max(cached_best_rate,
-                 static_cast<double>(per_round) / seconds_since(start));
-  }
-  const double total = static_cast<double>(rounds * per_round);
-  legacy_out->packets_per_sec = legacy_best_rate;
-  legacy_out->allocs_per_packet = static_cast<double>(legacy_allocs) / total;
-  cached_out->packets_per_sec = cached_best_rate;
-  cached_out->allocs_per_packet = static_cast<double>(cached_allocs) / total;
-  *execute_allocs_out = execute_allocs;
-}
-
 // Returns 0 on success, 1 when the zero-allocation assertion fails.
 int run_steady_state() {
   const u64 kRounds = quick_mode() ? 3 : 10;
   const u64 kPerRound = quick_mode() ? 2'000 : 20'000;
   const u64 kIterations = kRounds * kPerRound;
-  SteadyStateRig legacy_rig;
-  SteadyStateRig cached_rig;
-  active::ProgramCache cache;
-
-  PathResult legacy;
-  PathResult cached;
+  SteadyStateRig rig;
   u64 execute_allocs = 0;
-  measure_paths(legacy_rig, cached_rig, cache, kRounds, kPerRound, &legacy,
-                &cached, &execute_allocs);
+  rig.round(1000, &execute_allocs);  // warm the cache and the pool
+  execute_allocs = 0;
 
-  const runtime::RuntimeStats& stats = cached_rig.runtime.stats();
-  const active::ProgramCache::Stats& cstats = cache.stats();
+  // Best round: ambient load on a shared host only ever slows a round.
+  double best_rate = 0.0;
+  u64 allocs = 0;
+  for (u64 r = 0; r < kRounds; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    allocs += rig.round(kPerRound, &execute_allocs);
+    best_rate = std::max(best_rate, static_cast<double>(kPerRound) /
+                                        seconds_since(start));
+  }
+
+  const runtime::RuntimeStats& stats = rig.runtime.stats();
+  const active::ProgramCache::Stats& cstats = rig.cache.stats();
   std::printf(
       "{\n"
       "  \"workload\": {\"program\": \"cache_query\", \"packets\": %llu},\n"
-      "  \"steady_state\": {\n"
-      "    \"legacy\": {\"packets_per_sec\": %.0f, \"allocs_per_packet\": "
-      "%.2f},\n"
-      "    \"cached\": {\"packets_per_sec\": %.0f, \"allocs_per_packet\": "
-      "%.2f, \"execute_allocs_per_packet\": %.6f},\n"
-      "    \"speedup\": %.2f\n"
-      "  },\n"
+      "  \"steady_state\": {\"packets_per_sec\": %.0f, "
+      "\"allocs_per_packet\": %.2f, \"execute_allocs_per_packet\": %.6f},\n"
       "  \"runtime_counters\": {\n"
       "    \"packets\": %llu, \"instructions\": %llu, \"recirculations\": "
       "%llu,\n"
@@ -230,12 +180,10 @@ int run_steady_state() {
       "  \"program_cache\": {\"hits\": %llu, \"misses\": %llu, "
       "\"evictions\": %llu, \"collisions\": %llu}\n"
       "}\n",
-      static_cast<unsigned long long>(kIterations), legacy.packets_per_sec,
-      legacy.allocs_per_packet, cached.packets_per_sec,
-      cached.allocs_per_packet,
+      static_cast<unsigned long long>(kIterations), best_rate,
+      static_cast<double>(allocs) / static_cast<double>(kIterations),
       static_cast<double>(execute_allocs) /
           static_cast<double>(kIterations),
-      cached.packets_per_sec / legacy.packets_per_sec,
       static_cast<unsigned long long>(stats.packets),
       static_cast<unsigned long long>(stats.instructions),
       static_cast<unsigned long long>(stats.recirculations),
@@ -658,7 +606,7 @@ struct EngineLanes {
   void run_per_packet(u64 reps) {
     for (u64 r = 0; r < reps; ++r) {
       for (u32 i = 0; i < kBurst; ++i) {
-        benchmark::DoNotOptimize(
+        keep(
             runtime.execute(compiled, ctxs[i], cursors[i], meta, 0));
       }
     }
@@ -672,7 +620,7 @@ struct EngineLanes {
       }
       batch.execute();
       for (u32 i = 0; i < kBurst; ++i) {
-        benchmark::DoNotOptimize(batch.result(i));
+        keep(batch.result(i));
       }
     }
   }
@@ -1244,130 +1192,11 @@ int run_e2e_datapath() {
   return batched_rc != 0 ? batched_rc : chaos_rc;
 }
 
-// --- google-benchmark cases ----------------------------------------------
-
-void BM_PacketSerializeParse(benchmark::State& state) {
-  const auto program = apps::cache_query_program();
-  const auto pkt = packet::ActivePacket::make_program(
-      1, packet::ArgumentHeader{{1, 2, 3, 4}}, program);
-  for (auto _ : state) {
-    auto frame = pkt.serialize();
-    benchmark::DoNotOptimize(packet::ActivePacket::parse(frame));
-  }
-}
-BENCHMARK(BM_PacketSerializeParse);
-
-void BM_RuntimeCacheQuery(benchmark::State& state) {
-  rmt::PipelineConfig cfg;
-  rmt::Pipeline pipeline(cfg);
-  runtime::ActiveRuntime runtime(pipeline);
-  for (u32 s = 0; s < 20; ++s) pipeline.stage(s).install(1, 0, 4096, 0);
-  const auto program = apps::cache_query_program();
-  for (auto _ : state) {
-    auto pkt = packet::ActivePacket::make_program(
-        1, packet::ArgumentHeader{{10, 2, 3, 0}}, program);
-    benchmark::DoNotOptimize(runtime.execute(pkt));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RuntimeCacheQuery);
-
-void BM_RuntimeCacheQueryCompiled(benchmark::State& state) {
-  // The zero-mutation hot path: shared CompiledProgram + stack cursor.
-  rmt::PipelineConfig cfg;
-  rmt::Pipeline pipeline(cfg);
-  runtime::ActiveRuntime runtime(pipeline);
-  for (u32 s = 0; s < 20; ++s) pipeline.stage(s).install(1, 0, 4096, 0);
-  const auto compiled =
-      active::CompiledProgram::compile(apps::cache_query_program());
-  auto pkt = packet::ActivePacket::make_program(
-      1, packet::ArgumentHeader{{10, 2, 3, 0}}, active::Program{});
-  active::ExecCursor cursor;
-  for (auto _ : state) {
-    pkt.arguments->args[0] = 10;
-    benchmark::DoNotOptimize(runtime.execute(compiled, pkt, cursor));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RuntimeCacheQueryCompiled);
-
-void BM_RuntimeMonitorProgram(benchmark::State& state) {
-  rmt::PipelineConfig cfg;
-  rmt::Pipeline pipeline(cfg);
-  runtime::ActiveRuntime runtime(pipeline);
-  for (u32 s = 0; s < 20; ++s) pipeline.stage(s).install(1, 0, 4096, 0);
-  const auto program = apps::hh_monitor_program();
-  u32 key = 0;
-  for (auto _ : state) {
-    auto pkt = packet::ActivePacket::make_program(
-        1, packet::ArgumentHeader{{++key, key * 3, 0, 0}}, program);
-    benchmark::DoNotOptimize(runtime.execute(pkt));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RuntimeMonitorProgram);
-
-void BM_ProgramCacheIntern(benchmark::State& state) {
-  active::ProgramCache cache;
-  const auto program = apps::cache_query_program();
-  cache.intern(program);  // warm: every iteration below is a hit
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.intern(program));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProgramCacheIntern);
-
-void BM_HashWords(benchmark::State& state) {
-  const std::array<Word, 4> words{1, 2, 3, 4};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rmt::hash_words(words, 1));
-  }
-}
-BENCHMARK(BM_HashWords);
-
-void BM_EnumerateCacheMutants(benchmark::State& state) {
-  const auto request = apps::cache_request();
-  const alloc::StageGeometry geom{20, 10};
-  const auto policy = state.range(0) == 0
-                          ? alloc::MutantPolicy::most_constrained()
-                          : alloc::MutantPolicy::least_constrained(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        alloc::enumerate_mutants(request, geom, policy));
-  }
-}
-BENCHMARK(BM_EnumerateCacheMutants)->Arg(0)->Arg(1);
-
-void BM_AllocateCacheInstance(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    alloc::Allocator allocator({20, 10}, 368);
-    for (int i = 0; i < state.range(0); ++i) {
-      allocator.allocate(apps::cache_request());
-    }
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(allocator.allocate(apps::cache_request()));
-  }
-}
-BENCHMARK(BM_AllocateCacheInstance)->Arg(0)->Arg(20)->Arg(100);
-
-void BM_AssembleListing1(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(apps::cache_query_program());
-  }
-}
-BENCHMARK(BM_AssembleListing1);
-
 }  // namespace
 }  // namespace artmt
 
-int main(int argc, char** argv) {
+int main() {
   const int steady_state_rc = artmt::run_steady_state();
   const int e2e_rc = artmt::run_e2e_datapath();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return steady_state_rc != 0 ? steady_state_rc : e2e_rc;
 }

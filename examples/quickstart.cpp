@@ -3,8 +3,9 @@
 //  1. stand up a modeled RMT pipeline with the shared runtime,
 //  2. admit a service (memory allocation + table installation),
 //  3. assemble an active program, synthesize it for the granted
-//     placement, and execute a capsule through the pipeline,
-//  4. observe the result the switch wrote back into the packet.
+//     placement, and execute capsules of it through the pipeline,
+//  4. observe the result the switch wrote back into the capsule's
+//     argument header.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
@@ -49,18 +50,20 @@ int main() {
       controller.response_for(admission.fid), config.logical_stages);
 
   // --- 4. send a few capsules and watch the counter grow ---
+  // The switch compiles a program once and runs each capsule over its own
+  // headers; the execution cursor holds the per-capsule state.
+  const auto compiled = active::CompiledProgram::compile(synthesized.program);
   for (int i = 0; i < 3; ++i) {
     packet::ArgumentHeader args;
     args.args[0] = synthesized.access_base[0];  // counter address
-    auto capsule = packet::ActivePacket::make_program(admission.fid, args,
-                                                      synthesized.program);
-    const auto result = runtime.execute(capsule);
+    auto ctx = runtime::ExecContext::over({.fid = admission.fid}, args);
+    active::ExecCursor cursor;
+    const auto result = runtime.execute(compiled, ctx, cursor);
     std::printf("capsule %d: verdict=%s count=%u latency=%lldns\n", i,
                 result.verdict == runtime::Verdict::kReturnToSender
                     ? "returned-to-sender"
                     : "other",
-                capsule.arguments->args[1],
-                static_cast<long long>(result.latency));
+                args.args[1], static_cast<long long>(result.latency));
   }
 
   controller.release(admission.fid);

@@ -23,15 +23,17 @@ int main() {
       seq_spec, *controller.mutant_of(seq.fid),
       controller.response_for(seq.fid), 20);
   std::printf("sequencer deployed (fid=%u)\n", seq.fid);
+  // Each capsule runs the way the switch runs it: the compiled program is
+  // shared, the headers and the execution cursor are the capsule's own.
+  active::ExecCursor cursor;
+  const auto seq_code = active::CompiledProgram::compile(seq_prog.program);
   for (u32 group = 0; group < 2; ++group) {
     for (int i = 0; i < 3; ++i) {
       packet::ArgumentHeader args;
       args.args[0] = seq_prog.access_base[0] + group;
-      auto pkt = packet::ActivePacket::make_program(seq.fid, args,
-                                                    seq_prog.program);
-      runtime.execute(pkt);
-      std::printf("  group %u -> seq %u\n", group,
-                  pkt.arguments->args[1]);
+      auto ctx = runtime::ExecContext::over({.fid = seq.fid}, args);
+      runtime.execute(seq_code, ctx, cursor);
+      std::printf("  group %u -> seq %u\n", group, args.args[1]);
     }
   }
 
@@ -53,17 +55,20 @@ int main() {
 
   runtime::PacketMeta flow_meta;
   flow_meta.five_tuple = {10, 20, 30, 40};
+  const auto count_code = active::CompiledProgram::compile(count_prog.program);
   for (int i = 0; i < 5; ++i) {
-    auto pkt = packet::ActivePacket::make_program(
-        flow.fid, packet::ArgumentHeader{}, count_prog.program);
-    runtime.execute(pkt, flow_meta);
+    packet::ArgumentHeader args;
+    auto ctx = runtime::ExecContext::over({.fid = flow.fid}, args);
+    runtime.execute(count_code, ctx, cursor, flow_meta);
   }
-  auto probe = packet::ActivePacket::make_program(
-      flow.fid, packet::ArgumentHeader{}, probe_prog.program);
-  const auto res = runtime.execute(probe, flow_meta);
+  packet::ArgumentHeader probe;
+  auto probe_ctx = runtime::ExecContext::over({.fid = flow.fid}, probe);
+  const auto res = runtime.execute(
+      active::CompiledProgram::compile(probe_prog.program), probe_ctx, cursor,
+      flow_meta);
   std::printf("flow counter deployed (fid=%u): probe says %u packets "
               "(verdict %s)\n",
-              flow.fid, probe.arguments->args[1],
+              flow.fid, probe.args[1],
               res.verdict == runtime::Verdict::kReturnToSender
                   ? "returned-to-sender"
                   : "forward");

@@ -32,7 +32,7 @@ run_bench() {
   # bench_micro exits nonzero when the cache-hit execute or the zero-copy
   # frame datapath allocates in steady state (allocs_per_frame_steady > 0);
   # it also writes BENCH_datapath.json for the record.
-  ./build/bench/bench_micro --benchmark_filter=NONE
+  ./build/bench/bench_micro
 }
 
 run_perf_smoke() {
@@ -45,7 +45,7 @@ run_perf_smoke() {
   # perf-ratio gates are skipped and BENCH_datapath.json is left alone, so
   # this catches functional rot in the bench harness on any runner without
   # flaking on machine speed.
-  ARTMT_BENCH_QUICK=1 ./build/bench/bench_micro --benchmark_filter=NONE
+  ARTMT_BENCH_QUICK=1 ./build/bench/bench_micro
 }
 
 run_alloc_bench() {
@@ -72,7 +72,7 @@ run_telemetry_overhead() {
   # loses more than 5% packets/sec; the gate double-checks the verdicts
   # recorded in BENCH_datapath.json -- both the "telemetry" and the
   # "spans" blocks must report within_5pct and zero allocs per frame.
-  ./build/bench/bench_micro --benchmark_filter=NONE
+  ./build/bench/bench_micro
   for block in telemetry spans; do
     if ! grep -A2 "\"$block\":" BENCH_datapath.json \
         | grep -q '"within_5pct": true'; then
@@ -96,7 +96,7 @@ run_bench_regression() {
   # against the committed baselines; more than a 10% drop in any section
   # fails the job. bench_alloc also enforces its own 5x indexed-vs-rescan
   # speedup gate at 10k residents.
-  ./build/bench/bench_micro --benchmark_filter=NONE
+  ./build/bench/bench_micro
   ./build/bench/bench_alloc
   python3 scripts/bench_compare.py
 }
@@ -203,8 +203,9 @@ run_golden_outputs() {
   # time), so its output must match the committed file byte for byte: the
   # artmt_stats serial and --fabric snapshots (the latter at shard counts
   # 1, 2 and 4 against one file), the artmt_chaos per-run digest lines
-  # (stderr) on both topologies, bench_fabric's quick-mode report, and the
-  # six examples.
+  # (stderr) on both topologies, bench_fabric's quick-mode report,
+  # bench_ablation's report, artmt_trace's text and --json trace of the
+  # program in its usage comment, and the six examples.
   local out
   out="$(mktemp -d)"
   ./build/tools/artmt_stats >"$out/artmt_stats.json" 2>/dev/null
@@ -216,6 +217,12 @@ run_golden_outputs() {
   done
   ARTMT_BENCH_QUICK=1 ./build/bench/bench_fabric \
       >"$out/bench_fabric_quick.out" 2>/dev/null
+  ./build/bench/bench_ablation >"$out/bench_ablation.out" 2>/dev/null
+  local trace_prog=('MAR_LOAD $0' MEM_INCREMENT 'MBR_STORE $1' RTS RETURN)
+  printf '%s\n' "${trace_prog[@]}" | ./build/tools/artmt_trace \
+      --args 0,0,0,0 >"$out/artmt_trace.out" 2>/dev/null
+  printf '%s\n' "${trace_prog[@]}" | ./build/tools/artmt_trace \
+      --args 0,0,0,0 --json >"$out/artmt_trace.json" 2>/dev/null
   ./build/tools/artmt_chaos >/dev/null 2>"$out/artmt_chaos.err"
   ./build/tools/artmt_chaos --topology leaf-spine >/dev/null \
       2>"$out/artmt_chaos_leaf_spine.err"

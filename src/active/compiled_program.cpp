@@ -167,19 +167,4 @@ void CompiledProgram::link() {
   digest_ = compute_digest(wire_, preload_mar_, preload_mbr_);
 }
 
-Program CompiledProgram::to_program() const {
-  Program out;
-  for (const CompiledInsn& insn : code_) {
-    Instruction decoded;
-    decoded.op = insn.op;
-    decoded.operand = insn.operand;
-    decoded.label = insn.label;
-    decoded.done = insn.wire_done;
-    out.push(decoded);
-  }
-  out.preload_mar = preload_mar_;
-  out.preload_mbr = preload_mbr_;
-  return out;
-}
-
 }  // namespace artmt::active

@@ -141,9 +141,6 @@ class CompiledProgram {
   // FNV-1a digest over (preload flags, wire_code); the ProgramCache key.
   [[nodiscard]] u64 digest() const { return digest_; }
 
-  // Decodes back to a mutable Program (diagnostics, compat paths).
-  [[nodiscard]] Program to_program() const;
-
   static u64 compute_digest(std::span<const u8> wire_code, bool preload_mar,
                             bool preload_mbr);
 

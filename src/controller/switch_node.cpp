@@ -284,7 +284,7 @@ void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
   }
   ActivePacket pkt;
   try {
-    pkt = proto::parse_capsule(frame, program_cache_);
+    pkt = ActivePacket::parse(frame);
   } catch (const ParseError&) {
     forward_passive(std::move(frame));
     return;
@@ -427,13 +427,10 @@ void SwitchNode::flush_batch() {
   for (std::size_t i = 0; i < n; ++i) {
     PendingExec& p = pending_[i];
     batch_meta_[i] = derive_meta(p.view.ethernet, p.view.payload(p.frame));
-    runtime::ExecContext& ctx = batch_ctx_[i];
-    ctx.args = &p.view.arguments.args;
-    ctx.fid = p.view.initial.fid;
-    ctx.flags = p.view.initial.flags;
-    ctx.eth_src = &p.view.ethernet.src;
-    ctx.eth_dst = &p.view.ethernet.dst;
-    batch_.add(*p.view.compiled, ctx, batch_cursors_[i], batch_meta_[i], now);
+    batch_ctx_[i] = runtime::ExecContext::over(p.view.initial, p.view.arguments,
+                                               &p.view.ethernet);
+    batch_.add(*p.view.compiled, batch_ctx_[i], batch_cursors_[i],
+               batch_meta_[i], now);
   }
   batch_.execute();
   metrics_->exec_batches->inc();

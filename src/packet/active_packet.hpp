@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "active/program.hpp"
-#include "active/program_cache.hpp"
+#include "active/compiled_program.hpp"
 #include "common/bytes.hpp"
 #include "common/types.hpp"
 #include "packet/ethernet.hpp"
@@ -142,11 +142,12 @@ struct AllocResponseHeader {
 // code); `payload` is the opaque passive remainder (e.g. the TCP/IP bytes
 // the program does not inspect).
 //
-// Program packets carry their code in one of two forms: a decoded,
-// mutable `program` (the legacy path) or a shared, immutable `compiled`
-// artifact interned through a ProgramCache (the switch's steady-state
-// path, which skips the per-packet decode entirely). When both are set,
-// `program` wins for serialization.
+// Program packets carry their code in one of two forms: a decoded
+// `program` (what ActivePacket::parse produces) or a shared, immutable
+// `compiled` artifact (what a client sends from, skipping the per-packet
+// re-encode). When both are set, `program` wins for serialization. The
+// switch never executes an ActivePacket: it parses program capsules in
+// place (ProgramView) and replies with proto::encode_executed.
 struct ActivePacket {
   EthernetHeader ethernet;
   InitialHeader initial;
@@ -159,18 +160,11 @@ struct ActivePacket {
 
   // Serializes the whole frame (Ethernet + active headers + payload).
   // Program packets serialize `program` when present, else the pristine
-  // `compiled` wire form (use proto::encode_executed for the post-
-  // execution shrink reply).
+  // `compiled` wire form.
   [[nodiscard]] std::vector<u8> serialize() const;
 
   // Parses a frame; requires ethertype == kEtherTypeActive.
   static ActivePacket parse(std::span<const u8> frame);
-
-  // Parses a frame, interning program code through `cache`: on a cache
-  // hit the instruction stream is never decoded and `compiled` points at
-  // the shared artifact (`program` stays empty).
-  static ActivePacket parse(std::span<const u8> frame,
-                            active::ProgramCache& cache);
 
   // Convenience constructors.
   static ActivePacket make_program(Fid fid, const ArgumentHeader& args,

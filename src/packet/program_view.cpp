@@ -28,8 +28,7 @@ ProgramView ProgramView::parse(std::span<const u8> frame,
     throw ParseError("ProgramView: not a program capsule");
   }
   view.arguments = ArgumentHeader::parse(in);
-  // Same EOF scan as the owning parser: only the EOF opcode is matched
-  // here; opcode validation happens inside the cache (byte-compare against
+  // Only the EOF opcode is matched here; opcode validation happens inside the cache (byte-compare against
   // a validated artifact on hits, compile on misses).
   const std::size_t code_begin = in.position();
   std::size_t code_end = code_begin;

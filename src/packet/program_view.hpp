@@ -1,11 +1,11 @@
-// Non-owning, zero-copy view of a program capsule: the switch fast path's
-// alternative to materializing a full ActivePacket. The fixed-size headers
-// (Ethernet, initial, arguments) are decoded in place into value fields —
-// they are mutated by execution (MBR_STORE, RTS address swap) and re-
-// emitted by proto::encode_executed — while the instruction stream is
-// resolved through the ProgramCache into a shared CompiledProgram and the
-// passive payload is never touched: it stays in the frame buffer, located
-// by offset.
+// Non-owning, zero-copy view of a program capsule: how the switch parses
+// every program capsule, never materializing an ActivePacket. The
+// fixed-size headers (Ethernet, initial, arguments) are decoded in place
+// into value fields — they are mutated by execution (MBR_STORE, RTS
+// address swap) and re-emitted by proto::encode_executed — while the
+// instruction stream is resolved through the ProgramCache into a shared
+// CompiledProgram and the passive payload is never touched: it stays in
+// the frame buffer, located by offset.
 //
 // Lifetime: a ProgramView borrows the frame it was parsed from. It must
 // not outlive that buffer, and payload() must be called with the same

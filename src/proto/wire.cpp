@@ -9,11 +9,6 @@ namespace artmt::proto {
 using packet::ActivePacket;
 using packet::ActiveType;
 
-packet::ActivePacket parse_capsule(std::span<const u8> frame,
-                                   active::ProgramCache& cache) {
-  return ActivePacket::parse(frame, cache);
-}
-
 namespace {
 
 // Fixed prefix of every executed-program reply: Ethernet + initial +
@@ -37,8 +32,7 @@ u32 count_live(std::span<const active::CompiledInsn> code,
 // exact-size destination (a growable writer's per-byte bookkeeping costs
 // more than the frame itself at line rate). Writes Ethernet + initial +
 // arguments + surviving instructions + EOF at `p`; returns the pointer
-// past the EOF pair (where the payload belongs). Shared by the owning and
-// zero-copy encode_executed variants so their wire bytes cannot diverge.
+// past the EOF pair (where the payload belongs).
 u8* write_executed(u8* p, const packet::EthernetHeader& ethernet,
                    const packet::InitialHeader& initial,
                    const packet::ArgumentHeader& arguments,
@@ -87,29 +81,6 @@ u8* write_executed(u8* p, const packet::EthernetHeader& ethernet,
 }
 
 }  // namespace
-
-std::vector<u8> encode_executed(const packet::ActivePacket& pkt,
-                                const active::ExecCursor& cursor) {
-  if (pkt.initial.type != ActiveType::kProgram || pkt.program ||
-      !pkt.compiled) {
-    // Decoded-Program packets were already mutated by the compat path;
-    // control packets carry no code. Either way the plain serializer is
-    // authoritative.
-    return pkt.serialize();
-  }
-  const auto& code = pkt.compiled->code();
-  const u32 live = count_live(code, cursor);
-  const std::size_t total = kExecutedHeaderBytes +
-                            2 * (static_cast<std::size_t>(live) + 1) +
-                            pkt.payload.size();
-  std::vector<u8> frame(total);
-  u8* p = write_executed(frame.data(), pkt.ethernet, pkt.initial,
-                         *pkt.arguments, code, cursor);
-  if (!pkt.payload.empty()) {
-    std::memcpy(p, pkt.payload.data(), pkt.payload.size());
-  }
-  return frame;
-}
 
 FrameBuf encode_executed(const packet::ProgramView& view,
                          const active::ExecCursor& cursor, FrameBuf frame,

@@ -1,11 +1,10 @@
 // Wire translation between the allocator's request/placement model and the
 // active packet headers of Section 3.3. Shared by the client shim (encode
 // request, decode response) and the switch node (decode request, encode
-// response).
+// response), plus the switch's reply to an executed program capsule.
 #pragma once
 
 #include "active/compiled_program.hpp"
-#include "active/program_cache.hpp"
 #include "alloc/mutant.hpp"
 #include "alloc/request.hpp"
 #include "common/frame_buf.hpp"
@@ -14,28 +13,16 @@
 
 namespace artmt::proto {
 
-// Parses a capsule, interning program code through `cache` so recurring
-// programs are decoded and compiled once and every later packet shares the
-// read-only CompiledProgram (the switch's steady-state parse path).
-packet::ActivePacket parse_capsule(std::span<const u8> frame,
-                                   active::ProgramCache& cache);
-
-// Serializes an executed program capsule. The packet-shrink reply of
-// Section 3.1 is synthesized from the execution cursor: instructions whose
+// Serializes an executed program capsule: the packet-shrink reply of
+// Section 3.1, synthesized from the execution cursor. Instructions whose
 // done-bit is set (on the wire or in this execution) are dropped when the
 // cursor allows shrinking, or re-emitted with the done flag set under
-// kFlagNoShrink. The shared CompiledProgram is never modified. Falls back
-// to ActivePacket::serialize() for packets without a compiled artifact.
-std::vector<u8> encode_executed(const packet::ActivePacket& pkt,
-                                const active::ExecCursor& cursor);
-
-// Zero-copy variant: synthesizes the reply for an executed ProgramView,
-// consuming the inbound frame. When the buffer is uniquely owned, the
+// kFlagNoShrink; the shared CompiledProgram is never modified. The reply
+// consumes the inbound frame: when the buffer is uniquely owned, the
 // (possibly shrunk) headers are rewritten in place ahead of the untouched
 // payload — the window simply slides forward over the freed bytes — and
 // no copy or allocation happens at all. A shared buffer falls back to a
-// fresh pool buffer with one payload memcpy. Wire bytes are bit-identical
-// to the owning encode_executed above (asserted by parity tests).
+// fresh pool buffer with one payload memcpy.
 FrameBuf encode_executed(const packet::ProgramView& view,
                          const active::ExecCursor& cursor, FrameBuf frame,
                          FramePool& pool);

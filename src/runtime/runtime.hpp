@@ -4,13 +4,15 @@
 // plane installed, and modeling recirculation, RTS placement, packet
 // shrinking, and execution faults.
 //
-// Execution is zero-mutation: the hot path runs an immutable
+// Execution is zero-mutation: the runtime runs an immutable
 // active::CompiledProgram shared by every packet of a recurring program,
 // and all per-packet mutable state (done-bits, branch-resume point, the
 // shrink decision) lives in a caller-provided active::ExecCursor. On the
 // cache-hit steady state the interpreter performs no heap allocation and
-// no writes to program storage; the wire-level "shrink" reply is
-// synthesized from the cursor afterwards (proto::encode_executed).
+// no writes to program storage. The switch parses each capsule in place
+// (packet::ProgramView), runs it as an ExecBatch lane whose reference
+// engine is ActiveRuntime::execute, and synthesizes the shrunk wire reply
+// from the cursor (proto::encode_executed).
 #pragma once
 
 #include <functional>
@@ -112,16 +114,31 @@ struct TraceEvent {
 // Observer invoked per consumed stage; installed for debugging/tooling.
 using TraceFn = std::function<void(const TraceEvent&)>;
 
-// The per-packet state the interpreter reads and writes, decoupled from
-// how the capsule is held: an owning ActivePacket and a zero-copy
-// ProgramView both project onto this. `args` is required; the Ethernet
-// address pointers are optional (RTS swaps them when present).
+// The per-packet state the interpreter reads and writes. `args` is
+// required; the Ethernet address pointers are optional (RTS swaps them
+// when present).
 struct ExecContext {
   std::array<Word, active::kArgFields>* args = nullptr;
   Fid fid = 0;
   u8 flags = 0;
   packet::MacAddr* eth_src = nullptr;
   packet::MacAddr* eth_dst = nullptr;
+
+  // The context over a capsule's headers: MBR_STORE writes `arguments`,
+  // and RTS swaps the addresses of `ethernet` when one is given.
+  static ExecContext over(const packet::InitialHeader& initial,
+                          packet::ArgumentHeader& arguments,
+                          packet::EthernetHeader* ethernet = nullptr) {
+    ExecContext ctx;
+    ctx.args = &arguments.args;
+    ctx.fid = initial.fid;
+    ctx.flags = initial.flags;
+    if (ethernet != nullptr) {
+      ctx.eth_src = &ethernet->src;
+      ctx.eth_dst = &ethernet->dst;
+    }
+    return ctx;
+  }
 };
 
 class ActiveRuntime {
@@ -129,29 +146,15 @@ class ActiveRuntime {
   explicit ActiveRuntime(rmt::Pipeline& pipeline);
   ~ActiveRuntime();
 
-  // Core hot path: executes the immutable `program` against `ctx`,
-  // threading all mutable execution state through `cursor` (reset
-  // internally). Argument fields are updated through ctx.args by
-  // MBR_STORE; executed instructions are recorded as done-bits in the
-  // cursor; the program itself is never written. Performs no heap
-  // allocation. `now` is the virtual time (feeds the recirculation
-  // governor).
+  // The per-packet engine, and the reference that ExecBatch is checked
+  // against: executes the immutable `program` against `ctx`, threading
+  // all mutable execution state through `cursor` (reset internally).
+  // Argument fields are updated through ctx.args by MBR_STORE; executed
+  // instructions are recorded as done-bits in the cursor; the program
+  // itself is never written. Performs no heap allocation. `now` is the
+  // virtual time (feeds the recirculation governor).
   ExecutionResult execute(const active::CompiledProgram& program,
                           ExecContext& ctx, active::ExecCursor& cursor,
-                          const PacketMeta& meta = {}, SimTime now = 0);
-
-  // Owning-packet adapter (bench/test paths and injected packets).
-  ExecutionResult execute(const active::CompiledProgram& program,
-                          packet::ActivePacket& pkt,
-                          active::ExecCursor& cursor,
-                          const PacketMeta& meta = {}, SimTime now = 0);
-
-  // Compatibility wrapper: compiles `pkt.program` on the fly (or reuses
-  // `pkt.compiled`), executes, then mirrors the cursor back into
-  // `pkt.program` when present -- done flags are set and, unless
-  // kFlagNoShrink, executed instructions are dropped from the wire form,
-  // exactly as the pre-cursor runtime mutated packets in place.
-  ExecutionResult execute(packet::ActivePacket& pkt,
                           const PacketMeta& meta = {}, SimTime now = 0);
 
   // --- Section 7.2 extensions ---

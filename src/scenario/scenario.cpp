@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "apps/kv.hpp"
+#include "faults/injector.hpp"
 #include "packet/ethernet.hpp"
 
 namespace artmt::scenario {
@@ -188,6 +189,75 @@ void CacheTenant::record(u32 seq, u64 key, u32 value, bool hit) {
   }
   ++window_total_;
   if (hit) ++window_hits_;
+}
+
+FabricDrillOut run_fabric_drill(const FabricDrill& drill) {
+  fabric::TopologyConfig tcfg = LeafSpine::config();
+  if (drill.migration) {
+    tcfg.switch_config.migration.enabled = true;
+    tcfg.switch_config.migration.interval = 20 * kMillisecond;
+  }
+  LeafSpine bed(drill.shards, tcfg, drill.server_leaf);
+  netsim::Network& net = bed.net;
+  fabric::Topology& topo = bed.topo;
+  std::unique_ptr<faults::FaultInjector> injector;
+  if (drill.plan != nullptr) {
+    injector = std::make_unique<faults::FaultInjector>(*drill.plan,
+                                                       drill.shards);
+    net.set_transmit_hook(injector.get());
+  }
+
+  const auto n = static_cast<u32>(drill.client_leaf.size());
+  std::vector<std::unique_ptr<CacheTenant>> tenants;
+  // Results after drill.mark, per tenant (entry i: tenant i's shard only).
+  std::vector<u64> late_hits(n, 0);
+  std::vector<u64> late_results(n, 0);
+  for (u32 i = 0; i < n; ++i) {
+    tenants.push_back(std::make_unique<CacheTenant>(
+        bed.add_client("tenant" + std::to_string(i), drill.client_leaf[i]),
+        i, LeafSpine::kServerMac, workload::ZipfGenerator(512, 1.2), 1000 + i,
+        500 * kMicrosecond));
+    CacheTenant& t = *tenants.back();
+    t.seed(*bed.server);
+    t.on_result = [&net, &drill, &late_hit = late_hits[i],
+                   &late_result = late_results[i]](u32, u64, u32, bool hit) {
+      if (drill.mark == 0 || net.simulator().now() < drill.mark) return;
+      ++late_result;
+      if (hit) ++late_hit;
+    };
+    t.join((i + 1) * 100 * kMillisecond, drill.stop - 300 * kMillisecond);
+  }
+
+  if (drill.wipe_leaf0_at != 0) {
+    net.schedule_on(topo.leaf(0), drill.wipe_leaf0_at,
+                    [&topo] { topo.leaf(0).wipe_registers(); });
+  }
+
+  topo.start(1 * kMillisecond, drill.stop);
+  net.run_until(drill.stop + 500 * kMillisecond);
+
+  FabricDrillOut out;
+  out.report = topo.controller().report();
+  for (u32 i = 0; i < topo.leaves(); ++i) {
+    out.leaf_digests.push_back(register_digest(topo.leaf(i).pipeline()));
+  }
+  Digest combined;
+  for (u32 i = 0; i < n; ++i) {
+    CacheTenant& t = *tenants[i];
+    combined.mix(t.digest());
+    const Fid fid = t.cache().fid();
+    out.fids.push_back(fid);
+    out.owners.push_back(topo.controller().owner_of(fid));
+    out.steering.push_back(t.client().steering_of(fid));
+    out.operational.push_back(t.cache().operational());
+    out.hits.push_back(t.hits());
+    out.bad_values += t.bad_values();
+  }
+  out.late_hits = late_hits;
+  out.late_results = late_results;
+  out.reply_digest = combined.h;
+  out.completed_at = net.now();
+  return out;
 }
 
 }  // namespace artmt::scenario

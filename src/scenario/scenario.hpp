@@ -1,6 +1,6 @@
 // Scenario building blocks: the single-switch testbed of the paper's
-// case study (Section 6.3, Figs. 9-10), its leaf-spine twin, and the
-// cache tenant that runs on either. Tests, benches, tools and examples
+// case study (Section 6.3, Figs. 9-10), its leaf-spine twin, the cache
+// tenant that runs on either, and the leaf-spine failure drill. Tests, benches, tools and examples
 // build their runs from these instead of wiring nodes by hand, so every
 // run of the scenario shares one set of conventions (MACs, ports, attach
 // order, key spaces, reply digests).
@@ -33,7 +33,9 @@
 #include "common/rng.hpp"
 #include "controller/cost_model.hpp"
 #include "controller/switch_node.hpp"
+#include "fabric/global_controller.hpp"
 #include "fabric/topology.hpp"
+#include "faults/fault_plan.hpp"
 #include "netsim/network.hpp"
 #include "rmt/pipeline.hpp"
 #include "workload/zipf.hpp"
@@ -205,5 +207,41 @@ class CacheTenant {
   u64 window_total_ = 0;
   std::vector<std::pair<double, double>> windows_;
 };
+
+// The leaf-spine failure drill: a LeafSpine (shrunk costs) with the
+// server on `server_leaf` and one CacheTenant per entry of `client_leaf`
+// (tenant i on that leaf, keys seeded, joining at (i + 1) * 100 ms and
+// sending until stop - 300 ms); the controller's health epochs run from
+// 1 ms to `stop` and the run ends 500 ms after `stop`. The fault plan,
+// the migration engine (20 ms interval) and the leaf0 register wipe are
+// off unless set.
+struct FabricDrill {
+  u32 shards = 1;
+  std::vector<u32> client_leaf = {0, 1, 2, 3};
+  u32 server_leaf = 3;
+  const faults::FaultPlan* plan = nullptr;
+  bool migration = false;
+  SimTime wipe_leaf0_at = 0;  // brownout up-edge: zero leaf0's registers
+  SimTime mark = 0;           // results after this instant count as "late"
+  SimTime stop = 1'500 * kMillisecond;
+};
+
+struct FabricDrillOut {
+  fabric::FabricReport report;
+  std::vector<u64> leaf_digests;  // register_digest per leaf
+  u64 reply_digest = 0;           // every tenant's digest, in order
+  // Per tenant:
+  std::vector<Fid> fids;
+  std::vector<packet::MacAddr> owners;    // owner_of(fid)
+  std::vector<packet::MacAddr> steering;  // steering_of(fid)
+  std::vector<bool> operational;
+  std::vector<u64> hits;
+  std::vector<u64> late_hits;     // hits after `mark`
+  std::vector<u64> late_results;  // any result (hit or miss) after `mark`
+  u64 bad_values = 0;             // summed over tenants
+  SimTime completed_at = 0;
+};
+
+FabricDrillOut run_fabric_drill(const FabricDrill& drill);
 
 }  // namespace artmt::scenario

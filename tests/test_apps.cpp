@@ -5,6 +5,7 @@
 
 #include "apps/kv.hpp"
 #include "apps/programs.hpp"
+#include "capsule_run.hpp"
 #include "client/compiler.hpp"
 #include "controller/controller.hpp"
 #include "rmt/hash.hpp"
@@ -42,9 +43,10 @@ class Fixture : public ::testing::Test {
   runtime::ExecutionResult run(Fid fid, const active::Program& program,
                                ArgumentHeader args, ActivePacket& out,
                                const runtime::PacketMeta& meta = {}) {
-    out = ActivePacket::make_program(fid, args, program);
-    out = ActivePacket::parse(out.serialize());
-    return runtime_.execute(out, meta);
+    CapsuleRun run = run_capsule(
+        runtime_, ActivePacket::make_program(fid, args, program), meta);
+    out = std::move(run.reply);
+    return run.result;
   }
 
   rmt::Pipeline pipeline_;
@@ -422,8 +424,11 @@ TEST_F(LbFixture, RoutingIsStateless) {
   args.args[0] = cookie;
   runtime::PacketMeta meta;
   meta.five_tuple = {3, 21, 39, 0};
-  ActivePacket pkt = ActivePacket::make_program(999, args, lb_route_program());
-  const auto res = runtime_.execute(pkt, meta);
+  const auto res =
+      run_capsule(runtime_,
+                  ActivePacket::make_program(999, args, lb_route_program()),
+                  meta)
+          .result;
   EXPECT_TRUE(res.phv.dst_overridden);
 }
 

@@ -5,6 +5,7 @@
 
 #include "active/assembler.hpp"
 #include "apps/programs.hpp"
+#include "capsule_run.hpp"
 #include "client/compiler.hpp"
 #include "client/memsync.hpp"
 #include "controller/controller.hpp"
@@ -245,10 +246,10 @@ class MemsyncLive : public ::testing::Test {
   runtime::ExecutionResult run(const active::Program& program,
                                const packet::ArgumentHeader& args,
                                packet::ActivePacket& out) {
-    out = packet::ActivePacket::make_program(fid_, args, program);
-    // Wire trip to exercise flag encoding.
-    out = packet::ActivePacket::parse(out.serialize());
-    return runtime_.execute(out);
+    CapsuleRun run = run_capsule(
+        runtime_, packet::ActivePacket::make_program(fid_, args, program));
+    out = std::move(run.reply);
+    return run.result;
   }
 
   rmt::Pipeline pipeline_;

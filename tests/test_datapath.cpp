@@ -1,7 +1,8 @@
 // The switch frame datapath: program capsules parsed in place and run as
 // ExecBatch lanes (golden reply bytes, stats), rejected program frames and
-// passive L2 forwarding, unknown-destination accounting, and pool
-// recycling across a full wire-in/wire-out exchange.
+// passive L2 forwarding, unknown-destination accounting, control frames
+// kept off the runtime, and pool recycling across a full wire-in/wire-out
+// exchange.
 #include <gtest/gtest.h>
 
 #include "active/assembler.hpp"
@@ -367,6 +368,26 @@ TEST(Datapath, MalformedControlTrafficSplitsFromMalformedData) {
   EXPECT_EQ(stats.malformed, 0u);
   EXPECT_EQ(stats.unknown_destination, 0u);
   EXPECT_EQ(reg.counter_value("switch", "control_rejects"), 1u);
+}
+
+// Control capsules take the control path and never reach the runtime:
+// nothing is executed, nothing egresses, and nothing counts as malformed.
+TEST(Datapath, ControlFramesNeverReachTheRuntime) {
+  Bed bed;
+  for (const auto type : {packet::ActiveType::kExtractComplete,
+                          packet::ActiveType::kReallocNotice,
+                          packet::ActiveType::kDeallocAck}) {
+    auto pkt = ActivePacket::make_control(1, type);
+    pkt.ethernet.src = kClientMac;
+    pkt.ethernet.dst = kServerMac;
+    bed.inject(pkt.serialize());
+  }
+  EXPECT_EQ(bed.sw->runtime().stats().packets, 0u);
+  EXPECT_TRUE(bed.client->frames.empty());
+  EXPECT_TRUE(bed.server->frames.empty());
+  const auto stats = bed.sw->node_stats();
+  EXPECT_EQ(stats.forwarded, 0u);
+  EXPECT_EQ(stats.malformed, 0u);
 }
 
 }  // namespace

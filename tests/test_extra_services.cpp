@@ -6,6 +6,7 @@
 #include "apps/extra_services.hpp"
 #include "apps/kv.hpp"
 #include "apps/programs.hpp"
+#include "capsule_run.hpp"
 #include "client/compiler.hpp"
 #include "controller/controller.hpp"
 
@@ -76,16 +77,15 @@ class ExtraServices : public ::testing::Test {
   runtime::ExecutionResult run(Fid fid, const active::Program& program,
                                ArgumentHeader& args,
                                const runtime::PacketMeta& meta = {}) {
-    last_ = ActivePacket::make_program(fid, args, program);
-    const auto res = runtime_.execute(last_, meta);
-    args = *last_.arguments;
-    return res;
+    CapsuleRun run = run_capsule(
+        runtime_, ActivePacket::make_program(fid, args, program), meta);
+    args = *run.reply.arguments;
+    return run.result;
   }
 
   rmt::Pipeline pipeline_;
   runtime::ActiveRuntime runtime_;
   controller::Controller controller_;
-  ActivePacket last_;
 };
 
 // ---------- sequencer ----------

@@ -7,7 +7,6 @@
 // deferral.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,6 +33,8 @@ using fabric::GlobalController;
 using fabric::Scoreboard;
 using fabric::Topology;
 using fabric::TopologyConfig;
+using scenario::FabricDrill;
+using scenario::run_fabric_drill;
 
 // --- scoreboard wire format ------------------------------------------------
 
@@ -104,110 +105,15 @@ TEST(ClientProbeTest, ValidatesConfigAndArming) {
   EXPECT_EQ(client.failovers(), 0u);
 }
 
-// --- fabric end-to-end harness ---------------------------------------------
+// --- fabric failure drill (scenario::run_fabric_drill) ---------------------
 
 constexpr packet::MacAddr kLeafMac = Topology::kLeafMacBase;
-
-struct FabricOpts {
-  u32 shards = 1;
-  std::vector<u32> client_leaf = {0, 1, 2, 3};  // one service per client
-  u32 server_leaf = 3;
-  const faults::FaultPlan* plan = nullptr;
-  bool migration = false;
-  SimTime wipe_leaf0_at = 0;  // brownout up-edge: zero leaf0's registers
-  SimTime mark = 0;           // results after this instant count as "late"
-  SimTime stop = 1'500 * kMillisecond;
-};
-
-struct FabricOut {
-  fabric::FabricReport report;
-  std::vector<u64> leaf_digests;
-  u64 reply_digest = 0;
-  std::vector<Fid> fids;
-  std::vector<packet::MacAddr> owners;    // owner_of(fid), per client
-  std::vector<packet::MacAddr> steering;  // steering_of(fid), per client
-  std::vector<bool> operational;
-  std::vector<u64> hits;
-  std::vector<u64> late_hits;     // hits after opts.mark
-  std::vector<u64> late_results;  // any result (hit or miss) after opts.mark
-  u64 bad_values = 0;
-  SimTime completed_at = 0;
-};
-
-FabricOut run_fabric(const FabricOpts& opts) {
-  TopologyConfig tcfg = scenario::LeafSpine::config();
-  if (opts.migration) {
-    tcfg.switch_config.migration.enabled = true;
-    tcfg.switch_config.migration.interval = 20 * kMillisecond;
-  }
-  scenario::LeafSpine bed(opts.shards, tcfg, opts.server_leaf);
-  netsim::Network& net = bed.net;
-  Topology& topo = bed.topo;
-  std::unique_ptr<faults::FaultInjector> injector;
-  if (opts.plan != nullptr) {
-    injector = std::make_unique<faults::FaultInjector>(*opts.plan, opts.shards);
-    net.set_transmit_hook(injector.get());
-  }
-
-  const u32 n = static_cast<u32>(opts.client_leaf.size());
-  std::vector<std::unique_ptr<scenario::CacheTenant>> tenants;
-  // Results after opts.mark, per tenant (entry i: tenant i's shard only).
-  std::vector<u64> late_hits(n, 0);
-  std::vector<u64> late_results(n, 0);
-  for (u32 i = 0; i < n; ++i) {
-    tenants.push_back(std::make_unique<scenario::CacheTenant>(
-        bed.add_client("tenant" + std::to_string(i), opts.client_leaf[i]), i,
-        scenario::LeafSpine::kServerMac, workload::ZipfGenerator(512, 1.2),
-        1000 + i, 500 * kMicrosecond));
-    scenario::CacheTenant& t = *tenants.back();
-    t.seed(*bed.server);
-    t.on_result = [&net, &opts, &late_hit = late_hits[i],
-                   &late_result = late_results[i]](u32, u64, u32, bool hit) {
-      if (opts.mark == 0 || net.simulator().now() < opts.mark) return;
-      ++late_result;
-      if (hit) ++late_hit;
-    };
-    t.join((i + 1) * 100 * kMillisecond, opts.stop - 300 * kMillisecond);
-  }
-
-  if (opts.wipe_leaf0_at != 0) {
-    net.schedule_on(topo.leaf(0), opts.wipe_leaf0_at,
-                    [&topo] { topo.leaf(0).wipe_registers(); });
-  }
-
-  topo.start(1 * kMillisecond, opts.stop);
-  net.run_until(opts.stop + 500 * kMillisecond);
-
-  FabricOut out;
-  out.report = topo.controller().report();
-  for (u32 i = 0; i < topo.leaves(); ++i) {
-    out.leaf_digests.push_back(
-        scenario::register_digest(topo.leaf(i).pipeline()));
-  }
-  Digest combined;
-  for (u32 i = 0; i < n; ++i) {
-    scenario::CacheTenant& t = *tenants[i];
-    combined.mix(t.digest());
-    const Fid fid = t.cache().fid();
-    out.fids.push_back(fid);
-    out.owners.push_back(topo.controller().owner_of(fid));
-    out.steering.push_back(t.client().steering_of(fid));
-    out.operational.push_back(t.cache().operational());
-    out.hits.push_back(t.hits());
-    out.bad_values += t.bad_values();
-  }
-  out.late_hits = late_hits;
-  out.late_results = late_results;
-  out.reply_digest = combined.h;
-  out.completed_at = net.now();
-  return out;
-}
 
 // Admission proxying: each service lands on its own leaf (scoreboard
 // ranking spreads the load), the client learns data-plane steering from
 // the forwarded response, and co-located queries serve cache hits.
 TEST(FabricE2E, AdmissionSpreadsPlacementsAndServesHits) {
-  const auto out = run_fabric({});
+  const auto out = run_fabric_drill({});
   ASSERT_EQ(out.fids.size(), 4u);
   EXPECT_EQ(out.report.placements, 4u);
   EXPECT_EQ(out.report.switch_deaths, 0u);
@@ -231,12 +137,12 @@ TEST(FabricE2E, AdmissionSpreadsPlacementsAndServesHits) {
 TEST(FabricE2E, LeafKillEvacuatesOntoSibling) {
   faults::FaultPlan plan;
   plan.flaps.push_back({"leaf0", "", 500 * kMillisecond, 10 * kSecond});
-  FabricOpts opts;
+  FabricDrill opts;
   opts.client_leaf = {3, 3, 3};
   opts.server_leaf = 2;
   opts.plan = &plan;
   opts.mark = 700 * kMillisecond;
-  const auto out = run_fabric(opts);
+  const auto out = run_fabric_drill(opts);
 
   EXPECT_EQ(out.report.switch_deaths, 1u);
   EXPECT_EQ(out.report.evacuations, 1u);
@@ -270,11 +176,11 @@ TEST(FabricE2E, LeafKillEvacuatesOntoSibling) {
 TEST(FabricE2E, SubEpochFlapCausesNoFalseEvacuation) {
   faults::FaultPlan plan;
   plan.flaps.push_back({"leaf0", "", 500 * kMillisecond, 501 * kMillisecond});
-  FabricOpts opts;
+  FabricDrill opts;
   opts.client_leaf = {3, 3, 3};
   opts.server_leaf = 2;
   opts.plan = &plan;
-  const auto out = run_fabric(opts);
+  const auto out = run_fabric_drill(opts);
 
   EXPECT_EQ(out.report.switch_deaths, 0u);
   EXPECT_EQ(out.report.evacuations, 0u);
@@ -292,14 +198,14 @@ TEST(FabricE2E, SubEpochFlapCausesNoFalseEvacuation) {
 TEST(FabricE2E, BrownoutMidMigrationKeepsPlacement) {
   faults::FaultPlan plan;
   plan.brownouts.push_back({"leaf0", 500 * kMillisecond, 3 * kMillisecond});
-  FabricOpts opts;
+  FabricDrill opts;
   opts.client_leaf = {0};
   opts.server_leaf = 1;
   opts.plan = &plan;
   opts.migration = true;
   opts.wipe_leaf0_at = 503 * kMillisecond;
   opts.mark = 600 * kMillisecond;
-  const auto out = run_fabric(opts);
+  const auto out = run_fabric_drill(opts);
 
   EXPECT_EQ(out.report.switch_deaths, 0u);
   EXPECT_EQ(out.report.evacuations, 0u);
@@ -317,12 +223,12 @@ TEST(FabricE2E, SimultaneousTwoLeafLossIsDeterministic) {
   faults::FaultPlan plan;
   plan.flaps.push_back({"leaf0", "", 500 * kMillisecond, 10 * kSecond});
   plan.flaps.push_back({"leaf1", "", 500 * kMillisecond, 10 * kSecond});
-  FabricOpts opts;
+  FabricDrill opts;
   opts.client_leaf = {3, 3, 3, 3};
   opts.server_leaf = 2;
   opts.plan = &plan;
 
-  const auto one = run_fabric(opts);
+  const auto one = run_fabric_drill(opts);
   EXPECT_EQ(one.report.switch_deaths, 2u);
   EXPECT_EQ(one.report.evacuations, 2u);
   EXPECT_EQ(one.report.replaced, 2u);
@@ -333,7 +239,7 @@ TEST(FabricE2E, SimultaneousTwoLeafLossIsDeterministic) {
     EXPECT_NE(one.owners[i], kLeafMac + 1) << "tenant " << i;
   }
 
-  const auto two = run_fabric(opts);
+  const auto two = run_fabric_drill(opts);
   EXPECT_EQ(two.owners, one.owners);
   EXPECT_EQ(two.fids, one.fids);
   EXPECT_EQ(two.report.downtimes, one.report.downtimes);
@@ -345,13 +251,13 @@ TEST(FabricE2E, SimultaneousTwoLeafLossIsDeterministic) {
 // The fabric rides the conservative sharded engine: fault-free runs are
 // byte-identical at any shard count.
 TEST(FabricE2E, FaultFreeDeterministicAcrossShards) {
-  FabricOpts opts;
-  const auto one = run_fabric(opts);
+  FabricDrill opts;
+  const auto one = run_fabric_drill(opts);
   ASSERT_EQ(one.report.placements, 4u);
   for (const u32 shards : {2u, 4u}) {
-    FabricOpts sharded = opts;
+    FabricDrill sharded = opts;
     sharded.shards = shards;
-    const auto result = run_fabric(sharded);
+    const auto result = run_fabric_drill(sharded);
     EXPECT_EQ(result.leaf_digests, one.leaf_digests) << shards << " shards";
     EXPECT_EQ(result.reply_digest, one.reply_digest) << shards << " shards";
     EXPECT_EQ(result.owners, one.owners) << shards << " shards";
@@ -364,17 +270,17 @@ TEST(FabricE2E, FaultFreeDeterministicAcrossShards) {
 TEST(FabricE2E, EvacuationDeterministicAcrossShards) {
   faults::FaultPlan plan;
   plan.flaps.push_back({"leaf0", "", 500 * kMillisecond, 10 * kSecond});
-  FabricOpts opts;
+  FabricDrill opts;
   opts.client_leaf = {3, 3, 3};
   opts.server_leaf = 2;
   opts.plan = &plan;
 
-  const auto one = run_fabric(opts);
+  const auto one = run_fabric_drill(opts);
   ASSERT_EQ(one.report.replaced, 1u);
   for (const u32 shards : {2u, 4u}) {
-    FabricOpts sharded = opts;
+    FabricDrill sharded = opts;
     sharded.shards = shards;
-    const auto result = run_fabric(sharded);
+    const auto result = run_fabric_drill(sharded);
     EXPECT_EQ(result.leaf_digests, one.leaf_digests) << shards << " shards";
     EXPECT_EQ(result.reply_digest, one.reply_digest) << shards << " shards";
     EXPECT_EQ(result.owners, one.owners) << shards << " shards";

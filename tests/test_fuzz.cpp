@@ -1,14 +1,17 @@
-// Randomized property tests: arbitrary byte-valid programs must never
-// crash the runtime, violate memory protection, or corrupt another
-// tenant's state; random request shapes must never corrupt the
-// allocator; random frames must never crash the parser.
+// Randomized property tests: arbitrary byte-valid programs, run down the
+// switch's path (in-place parse, execute, encode_executed), must never
+// crash the runtime, violate memory protection, corrupt another tenant's
+// state, or emit a reply that does not re-parse to the right shrunk
+// length; random request shapes must never corrupt the allocator; random
+// frames must never crash the parser.
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "active/isa.hpp"
 #include "alloc/allocator.hpp"
+#include "capsule_run.hpp"
 #include "common/rng.hpp"
-#include "packet/active_packet.hpp"
-#include "runtime/runtime.hpp"
 
 namespace artmt {
 namespace {
@@ -73,8 +76,19 @@ class FuzzRuntime : public ::testing::Test {
     return out;
   }
 
+  // One capsule down the switch's path; only ParseError may escape, and
+  // it yields nullopt.
+  std::optional<CapsuleRun> run(const ActivePacket& pkt) {
+    try {
+      return run_capsule(runtime_, cache_, pkt);
+    } catch (const ParseError&) {
+      return std::nullopt;
+    }
+  }
+
   rmt::Pipeline pipeline_;
   runtime::ActiveRuntime runtime_;
+  active::ProgramCache cache_;
 };
 
 TEST_F(FuzzRuntime, RandomProgramsNeverEscapeProtection) {
@@ -88,9 +102,7 @@ TEST_F(FuzzRuntime, RandomProgramsNeverEscapeProtection) {
   for (int trial = 0; trial < 2000; ++trial) {
     ArgumentHeader args;
     for (auto& a : args.args) a = static_cast<Word>(rng.next_u64());
-    auto pkt =
-        ActivePacket::make_program(1, args, random_program(rng, 48));
-    ASSERT_NO_THROW((void)runtime_.execute(pkt)) << "trial " << trial;
+    run(ActivePacket::make_program(1, args, random_program(rng, 48)));
   }
   // Whatever those 2000 programs did, fid 1 never wrote outside [64,128).
   EXPECT_EQ(outside_fid1(), before);
@@ -103,8 +115,9 @@ TEST_F(FuzzRuntime, ResultsAreInternallyConsistent) {
     args.args[0] = 64 + static_cast<Word>(rng.uniform(64));
     auto program = random_program(rng, 48);
     const u32 length = static_cast<u32>(program.size());
-    auto pkt = ActivePacket::make_program(1, args, std::move(program));
-    const auto res = runtime_.execute(pkt);
+    const auto out = run(ActivePacket::make_program(1, args, program));
+    ASSERT_TRUE(out) << "trial " << trial;
+    const runtime::ExecutionResult& res = out->result;
     EXPECT_LE(res.instructions_executed, length);
     EXPECT_LE(res.stages_consumed, length);
     EXPECT_GE(res.passes, 1u);
@@ -119,17 +132,36 @@ TEST_F(FuzzRuntime, ResultsAreInternallyConsistent) {
 
 TEST_F(FuzzRuntime, WireRoundTripAfterExecution) {
   Rng rng(31337);
+  u32 replies = 0;
   for (int trial = 0; trial < 500; ++trial) {
-    ArgumentHeader args;
-    auto pkt =
-        ActivePacket::make_program(1, args, random_program(rng, 30));
-    const auto res = runtime_.execute(pkt);
-    if (res.verdict == runtime::Verdict::kDrop) continue;
-    // Post-execution packets must still serialize and re-parse cleanly.
-    std::vector<u8> frame;
-    ASSERT_NO_THROW(frame = pkt.serialize());
-    ASSERT_NO_THROW((void)ActivePacket::parse(frame));
+    // Some instructions arrive already done (a capsule that shrank at an
+    // earlier switch is re-emitted with done flags under kFlagNoShrink).
+    auto program = random_program(rng, 30);
+    for (auto& insn : program.code()) insn.done = rng.uniform(4) == 0;
+    auto pkt = ActivePacket::make_program(1, ArgumentHeader{}, program);
+    if (rng.uniform(2) == 0) pkt.initial.flags |= packet::kFlagNoShrink;
+    const auto run_out = run(pkt);
+    ASSERT_TRUE(run_out) << "trial " << trial;
+    const CapsuleRun& out = *run_out;
+    if (out.result.verdict == runtime::Verdict::kDrop) continue;
+    // The reply re-parsed (run_capsule parses it); it carries exactly the
+    // instructions done neither on the wire nor in this execution, or all
+    // of them, done-flagged, under kFlagNoShrink.
+    ++replies;
+    ASSERT_TRUE(out.reply.program) << "trial " << trial;
+    u32 live = 0;
+    for (u32 i = 0; i < program.size(); ++i) {
+      const bool done = program.code()[i].done || out.cursor.done(i);
+      if (!(done && out.cursor.shrink)) ++live;
+    }
+    EXPECT_EQ(out.cursor.shrink,
+              (pkt.initial.flags & packet::kFlagNoShrink) == 0);
+    EXPECT_EQ(out.reply.program->size(), live) << "trial " << trial;
+    if (!out.cursor.shrink) {
+      EXPECT_EQ(out.reply.program->size(), program.size());
+    }
   }
+  EXPECT_GT(replies, 0u);
 }
 
 TEST(FuzzParser, RandomFramesNeverCrash) {

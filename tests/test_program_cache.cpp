@@ -1,14 +1,12 @@
 // Tests for the digest-keyed program interner and the zero-mutation
 // execution path it feeds: collision safety, the LRU bound, cache-hit
-// execution equivalence with cold decoding, and kFlagNoShrink flowing
-// through the cursor into the synthesized wire reply.
+// execution equivalence with a cold intern (and with golden reply bytes),
+// and kFlagNoShrink flowing through the cursor into the synthesized wire
+// reply.
 #include <gtest/gtest.h>
 
 #include "active/assembler.hpp"
-#include "active/program_cache.hpp"
-#include "packet/active_packet.hpp"
-#include "proto/wire.hpp"
-#include "runtime/runtime.hpp"
+#include "capsule_run.hpp"
 
 namespace artmt::active {
 namespace {
@@ -128,42 +126,32 @@ class CacheExecution : public ::testing::Test {
     }
   }
 
-  // Runs the same capsule through the cold mutating path and through the
-  // interned zero-mutation path and checks verdict/PHV/args/wire parity.
+  // Runs the same capsule on a cold intern (a cache of its own) and on a
+  // cache hit, checks verdict/PHV/args/stats parity, and checks the reply
+  // against `golden`: its bytes as the switch runtime produced them when
+  // it still mutated decoded packets in place (no reply on a drop).
   void expect_parity(const std::string& text, const ArgumentHeader& args,
-                     u8 extra_flags = 0) {
-    const auto program = assemble_text(text);
+                     const std::string& golden, u8 extra_flags = 0) {
+    auto pkt = ActivePacket::make_program(1, args, assemble_text(text));
+    pkt.initial.flags |= extra_flags;
+    const CapsuleRun cold = run_capsule(cold_runtime_, pkt);
 
-    auto cold_pkt = ActivePacket::make_program(1, args, program);
-    cold_pkt.initial.flags |= extra_flags;
-    const auto cold_frame_in = cold_pkt.serialize();
-    const auto cold = cold_runtime_.execute(cold_pkt);
-    const auto cold_frame_out = cold_pkt.serialize();
+    // Intern first so the execution below runs on a cache hit.
+    cache_.intern(*pkt.program);
+    const auto hits = cache_.stats().hits;
+    const CapsuleRun hot = run_capsule(hot_runtime_, cache_, pkt);
+    EXPECT_EQ(cache_.stats().hits, hits + 1);
 
-    // Parse through the cache twice so execution runs on a cache hit.
-    auto warm = ActivePacket::parse(cold_frame_in, cache_);
-    auto hot_pkt = ActivePacket::parse(cold_frame_in, cache_);
-    ASSERT_TRUE(hot_pkt.compiled);
-    EXPECT_EQ(warm.compiled.get(), hot_pkt.compiled.get());
-    EXPECT_GE(cache_.stats().hits, 1u);
-    ExecCursor cursor;
-    const auto hot =
-        hot_runtime_.execute(*hot_pkt.compiled, hot_pkt, cursor);
-
-    EXPECT_EQ(hot.verdict, cold.verdict);
-    EXPECT_EQ(hot.fault, cold.fault);
-    EXPECT_EQ(hot.passes, cold.passes);
-    EXPECT_EQ(hot.instructions_executed, cold.instructions_executed);
-    EXPECT_EQ(hot.phv.mar, cold.phv.mar);
-    EXPECT_EQ(hot.phv.mbr, cold.phv.mbr);
-    EXPECT_EQ(hot.phv.mbr2, cold.phv.mbr2);
-    ASSERT_TRUE(hot_pkt.arguments && cold_pkt.arguments);
-    for (std::size_t i = 0; i < cold_pkt.arguments->args.size(); ++i) {
-      EXPECT_EQ(hot_pkt.arguments->args[i], cold_pkt.arguments->args[i]);
-    }
-    if (cold.verdict != runtime::Verdict::kDrop) {
-      EXPECT_EQ(proto::encode_executed(hot_pkt, cursor), cold_frame_out);
-    }
+    EXPECT_EQ(hot.result.verdict, cold.result.verdict);
+    EXPECT_EQ(hot.result.fault, cold.result.fault);
+    EXPECT_EQ(hot.result.passes, cold.result.passes);
+    EXPECT_EQ(hot.result.instructions_executed,
+              cold.result.instructions_executed);
+    EXPECT_EQ(hot.result.phv.mar, cold.result.phv.mar);
+    EXPECT_EQ(hot.result.phv.mbr, cold.result.phv.mbr);
+    EXPECT_EQ(hot.result.phv.mbr2, cold.result.phv.mbr2);
+    EXPECT_EQ(hot.wire, cold.wire);
+    EXPECT_EQ(to_hex(hot.wire), golden);
 
     const auto& cs = cold_runtime_.stats();
     const auto& hs = hot_runtime_.stats();
@@ -175,6 +163,15 @@ class CacheExecution : public ::testing::Test {
     EXPECT_EQ(hs.rts_packets, cs.rts_packets);
   }
 
+  static std::string to_hex(const std::vector<u8>& bytes) {
+    std::string hex;
+    for (const u8 b : bytes) {
+      hex += "0123456789abcdef"[b >> 4];
+      hex += "0123456789abcdef"[b & 0xf];
+    }
+    return hex;
+  }
+
   rmt::Pipeline cold_pipeline_;
   rmt::Pipeline hot_pipeline_;
   runtime::ActiveRuntime cold_runtime_;
@@ -184,12 +181,16 @@ class CacheExecution : public ::testing::Test {
 
 TEST_F(CacheExecution, StraightLineParity) {
   expect_parity("MBR_LOAD $2\nMBR_STORE $3\nRETURN",
-                ArgumentHeader{{0, 0, 77, 0}});
+                ArgumentHeader{{0, 0, 77, 0}},
+                "00000000000000000000000083b2000100000000"
+                "0000000000000000000000000000004d0000004d0000");
 }
 
 TEST_F(CacheExecution, MemoryAccessParity) {
   expect_parity("MAR_LOAD $0\nMEM_INCREMENT\nMBR_STORE $1\nRETURN",
-                ArgumentHeader{{150, 0, 0, 0}});
+                ArgumentHeader{{150, 0, 0, 0}},
+                "00000000000000000000000083b2000100000000"
+                "00000000000000960000000100000000000000000000");
 }
 
 TEST_F(CacheExecution, BranchParity) {
@@ -200,31 +201,41 @@ TEST_F(CacheExecution, BranchParity) {
       MBR_STORE $2
       L1: RETURN
   )",
-                ArgumentHeader{{5, 5, 0, 0}});
+                ArgumentHeader{{5, 5, 0, 0}},
+                "00000000000000000000000083b2000100000000"
+                "00000000000000050000000500000000000000000000");
 }
 
 TEST_F(CacheExecution, RecirculationParity) {
   std::string text;
   for (int i = 0; i < 25; ++i) text += "NOP\n";
   text += "MBR_LOAD $0\nMBR_STORE $1\nRETURN";
-  expect_parity(text, ArgumentHeader{{9, 0, 0, 0}});
+  expect_parity(text, ArgumentHeader{{9, 0, 0, 0}},
+                "00000000000000000000000083b2000100000000"
+                "00000000000000090000000900000000000000000000");
 }
 
 TEST_F(CacheExecution, ProtectionFaultParity) {
-  // args[0] outside FID 1's [100, 200) region: both paths drop.
+  // args[0] outside FID 1's [100, 200) region: both runs drop, and
+  // neither sends a reply.
   expect_parity("MAR_LOAD $0\nMEM_READ\nRETURN",
-                ArgumentHeader{{500, 0, 0, 0}});
+                ArgumentHeader{{500, 0, 0, 0}}, "");
 }
 
 TEST_F(CacheExecution, RtsParity) {
-  expect_parity("MBR_LOAD $0\nRTS\nRETURN", ArgumentHeader{{1, 0, 0, 0}});
+  expect_parity("MBR_LOAD $0\nRTS\nRETURN", ArgumentHeader{{1, 0, 0, 0}},
+                "00000000000000000000000083b2000100000000"
+                "00000000000000010000000000000000000000000000");
 }
 
 // ---------- kFlagNoShrink through the cursor ----------
 
 TEST_F(CacheExecution, NoShrinkParity) {
   expect_parity("MBR_LOAD $2\nMBR_STORE $3\nRETURN",
-                ArgumentHeader{{0, 0, 7, 0}}, packet::kFlagNoShrink);
+                ArgumentHeader{{0, 0, 7, 0}},
+                "00000000000000000000000083b2000100040000"
+                "00000000000000000000000000000007000000071082118330800000",
+                packet::kFlagNoShrink);
 }
 
 TEST_F(CacheExecution, NoShrinkKeepsInstructionsOnTheWire) {
@@ -232,44 +243,32 @@ TEST_F(CacheExecution, NoShrinkKeepsInstructionsOnTheWire) {
   auto pkt = ActivePacket::make_program(1, ArgumentHeader{{3, 0, 0, 0}},
                                         program);
   pkt.initial.flags |= packet::kFlagNoShrink;
-  const auto frame = pkt.serialize();
-  auto hot = ActivePacket::parse(frame, cache_);
-  ASSERT_TRUE(hot.compiled);
-  ExecCursor cursor;
-  const auto res = hot_runtime_.execute(*hot.compiled, hot, cursor);
-  EXPECT_EQ(res.verdict, runtime::Verdict::kForward);
-  EXPECT_FALSE(cursor.shrink);
-  for (u32 i = 0; i < hot.compiled->code().size(); ++i) {
-    EXPECT_TRUE(cursor.done(i)) << i;
+  const CapsuleRun run = run_capsule(hot_runtime_, cache_, pkt);
+  EXPECT_EQ(run.result.verdict, runtime::Verdict::kForward);
+  EXPECT_FALSE(run.cursor.shrink);
+  for (u32 i = 0; i < program.size(); ++i) {
+    EXPECT_TRUE(run.cursor.done(i)) << i;
   }
   // The reply still carries all three instructions, done-flagged, and the
   // shared artifact itself is untouched.
-  const auto reply = proto::encode_executed(hot, cursor);
-  auto parsed = ActivePacket::parse(reply);
-  ASSERT_TRUE(parsed.program);
-  ASSERT_EQ(parsed.program->size(), 3u);
-  for (const auto& insn : parsed.program->code()) {
+  ASSERT_TRUE(run.reply.program);
+  ASSERT_EQ(run.reply.program->size(), 3u);
+  for (const auto& insn : run.reply.program->code()) {
     EXPECT_TRUE(insn.done);
   }
-  for (const auto& insn : hot.compiled->code()) {
+  for (const auto& insn : cache_.intern(program)->code()) {
     EXPECT_FALSE(insn.wire_done);
   }
 }
 
 TEST_F(CacheExecution, ShrinkRemovesExecutedInstructionsFromTheWire) {
   const auto program = assemble_text("MBR_LOAD $0\nMBR_STORE $1\nRETURN");
-  auto pkt = ActivePacket::make_program(1, ArgumentHeader{{3, 0, 0, 0}},
-                                        program);
-  const auto frame = pkt.serialize();
-  auto hot = ActivePacket::parse(frame, cache_);
-  ASSERT_TRUE(hot.compiled);
-  ExecCursor cursor;
-  hot_runtime_.execute(*hot.compiled, hot, cursor);
-  EXPECT_TRUE(cursor.shrink);
-  const auto reply = proto::encode_executed(hot, cursor);
-  auto parsed = ActivePacket::parse(reply);
-  ASSERT_TRUE(parsed.program);
-  EXPECT_EQ(parsed.program->size(), 0u);
+  const CapsuleRun run = run_capsule(
+      hot_runtime_, cache_,
+      ActivePacket::make_program(1, ArgumentHeader{{3, 0, 0, 0}}, program));
+  EXPECT_TRUE(run.cursor.shrink);
+  ASSERT_TRUE(run.reply.program);
+  EXPECT_EQ(run.reply.program->size(), 0u);
 }
 
 }  // namespace

@@ -1,19 +1,18 @@
 // Tests for the ActiveRMT switch runtime: per-instruction semantics,
 // control flow, memory protection, recirculation, RTS placement, packet
-// shrinking, preloading, and deactivation.
+// shrinking, preloading, and deactivation. Every capsule runs the way the
+// switch runs it (capsule_run.hpp), and assertions read the reply.
 #include <gtest/gtest.h>
 
 #include "active/assembler.hpp"
-#include "packet/active_packet.hpp"
+#include "capsule_run.hpp"
 #include "rmt/hash.hpp"
-#include "runtime/runtime.hpp"
 
 namespace artmt::runtime {
 namespace {
 
 using active::Opcode;
 using packet::ActivePacket;
-using packet::ActiveType;
 using packet::ArgumentHeader;
 
 class RuntimeTest : public ::testing::Test {
@@ -37,8 +36,12 @@ class RuntimeTest : public ::testing::Test {
     return ActivePacket::make_program(fid, args, active::assemble(text));
   }
 
-  ExecutionResult run(ActivePacket& pkt, const PacketMeta& meta = {}) {
-    return runtime_.execute(pkt, meta);
+  // Runs `pkt` as the switch would and replaces it with the reply.
+  ExecutionResult run(ActivePacket& pkt, const PacketMeta& meta = {},
+                      SimTime now = 0) {
+    CapsuleRun out = run_capsule(runtime_, pkt, meta, now);
+    pkt = std::move(out.reply);
+    return out.result;
   }
 
   rmt::Pipeline pipeline_;
@@ -557,13 +560,6 @@ TEST_F(RuntimeTest, ReactivationRestoresExecution) {
   EXPECT_TRUE(run(pkt).executed);
 }
 
-TEST_F(RuntimeTest, ControlPacketsForwardWithoutExecution) {
-  auto pkt = ActivePacket::make_control(1, ActiveType::kExtractComplete);
-  const auto res = run(pkt);
-  EXPECT_EQ(res.verdict, Verdict::kForward);
-  EXPECT_FALSE(res.executed);
-}
-
 TEST_F(RuntimeTest, EmptyProgramForwards) {
   auto pkt =
       ActivePacket::make_program(1, ArgumentHeader{}, active::Program{});
@@ -614,10 +610,10 @@ TEST_F(RuntimeTest, RecircBudgetDropsWhenExhausted) {
   text += "RETURN";  // 26 instructions -> 1 extra pass each
   for (int i = 0; i < 2; ++i) {
     auto pkt = make_packet(text, ArgumentHeader{});
-    EXPECT_EQ(runtime_.execute(pkt, {}, 0).verdict, Verdict::kForward) << i;
+    EXPECT_EQ(run(pkt, {}, 0).verdict, Verdict::kForward) << i;
   }
   auto pkt = make_packet(text, ArgumentHeader{});
-  const auto res = runtime_.execute(pkt, {}, 0);
+  const auto res = run(pkt, {}, 0);
   EXPECT_EQ(res.verdict, Verdict::kDrop);
   EXPECT_EQ(res.fault, Fault::kRecircBudget);
   EXPECT_EQ(runtime_.stats().drops_recirc_budget, 1u);
@@ -629,12 +625,12 @@ TEST_F(RuntimeTest, RecircBudgetRefillsOverTime) {
   for (int i = 0; i < 25; ++i) text += "NOP\n";
   text += "RETURN";
   auto pkt = make_packet(text, ArgumentHeader{});
-  EXPECT_EQ(runtime_.execute(pkt, {}, 0).verdict, Verdict::kForward);
+  EXPECT_EQ(run(pkt, {}, 0).verdict, Verdict::kForward);
   auto starved = make_packet(text, ArgumentHeader{});
-  EXPECT_EQ(runtime_.execute(starved, {}, kMillisecond).verdict,
+  EXPECT_EQ(run(starved, {}, kMillisecond).verdict,
             Verdict::kDrop);
   auto refilled = make_packet(text, ArgumentHeader{});
-  EXPECT_EQ(runtime_.execute(refilled, {}, 2 * kSecond).verdict,
+  EXPECT_EQ(run(refilled, {}, 2 * kSecond).verdict,
             Verdict::kForward);
 }
 
@@ -673,9 +669,9 @@ TEST_F(RuntimeTest, RecircBudgetBurstClampsAccumulation) {
   text += "RETURN";  // 26 instructions -> 1 extra pass
   const SimTime later = 100 * kSecond;
   auto first = make_packet(text, ArgumentHeader{});
-  EXPECT_EQ(runtime_.execute(first, {}, later).verdict, Verdict::kForward);
+  EXPECT_EQ(run(first, {}, later).verdict, Verdict::kForward);
   auto second = make_packet(text, ArgumentHeader{});
-  const auto res = runtime_.execute(second, {}, later);
+  const auto res = run(second, {}, later);
   EXPECT_EQ(res.verdict, Verdict::kDrop);
   EXPECT_EQ(res.fault, Fault::kRecircBudget);
 }
@@ -688,7 +684,7 @@ TEST_F(RuntimeTest, RecircBudgetZeroRateIsUnlimited) {
   text += "RETURN";
   for (int i = 0; i < 5; ++i) {
     auto pkt = make_packet(text, ArgumentHeader{});
-    EXPECT_EQ(runtime_.execute(pkt, {}, 0).verdict, Verdict::kForward) << i;
+    EXPECT_EQ(run(pkt, {}, 0).verdict, Verdict::kForward) << i;
   }
   EXPECT_EQ(runtime_.stats().drops_recirc_budget, 0u);
 }
@@ -703,10 +699,10 @@ TEST_F(RuntimeTest, RecircBudgetZeroElapsedCallsStillCharge) {
   const SimTime at = 3 * kSecond;
   for (int i = 0; i < 2; ++i) {
     auto pkt = make_packet(text, ArgumentHeader{});
-    EXPECT_EQ(runtime_.execute(pkt, {}, at).verdict, Verdict::kForward) << i;
+    EXPECT_EQ(run(pkt, {}, at).verdict, Verdict::kForward) << i;
   }
   auto exhausted = make_packet(text, ArgumentHeader{});
-  EXPECT_EQ(runtime_.execute(exhausted, {}, at).verdict, Verdict::kDrop);
+  EXPECT_EQ(run(exhausted, {}, at).verdict, Verdict::kDrop);
 }
 
 // ---------- trace observer ----------

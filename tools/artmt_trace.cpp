@@ -23,7 +23,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 
 #include "active/assembler.hpp"
@@ -191,11 +190,10 @@ int main(int argc, char** argv) {
     });
   }
 
-  const auto compiled = std::make_shared<const active::CompiledProgram>(
-      active::CompiledProgram::compile(to_run));
-  auto capsule = packet::ActivePacket::make_program(fid, args, compiled);
+  const auto compiled = active::CompiledProgram::compile(to_run);
+  auto ctx = runtime::ExecContext::over({.fid = fid}, args);
   active::ExecCursor cursor;
-  const auto result = runtime.execute(*compiled, capsule, cursor);
+  const auto result = runtime.execute(compiled, ctx, cursor);
 
   if (json) {
     sink.emit("runtime", "execute_done", fid,
@@ -215,13 +213,12 @@ int main(int argc, char** argv) {
               result.passes, static_cast<long long>(result.latency),
               result.instructions_executed);
   u32 remaining = 0;
-  for (u32 i = 0; i < compiled->code().size(); ++i) {
-    if (!(compiled->code()[i].wire_done || cursor.done(i))) ++remaining;
+  for (u32 i = 0; i < compiled.code().size(); ++i) {
+    if (!(compiled.code()[i].wire_done || cursor.done(i))) ++remaining;
   }
   std::printf("on-wire instructions after shrink: %u of %zu\n", remaining,
-              compiled->code().size());
-  std::printf("final args: %u %u %u %u\n", capsule.arguments->args[0],
-              capsule.arguments->args[1], capsule.arguments->args[2],
-              capsule.arguments->args[3]);
+              compiled.code().size());
+  std::printf("final args: %u %u %u %u\n", args.args[0], args.args[1],
+              args.args[2], args.args[3]);
   return 0;
 }
